@@ -1126,10 +1126,11 @@ let net () =
        (fun (label, us, rate) ->
          [ label; Printf.sprintf "%.1f" us; Printf.sprintf "%.0f" rate ])
        [ inproc; loop_row; tcp_row ]);
-  (* Pipelining sweep: request-id multiplexing lets one connection keep
-     many requests in flight; depth 1 pays a full round trip per op. *)
+  (* Depth sweep: a depth-d submit carries d reads in one Batch frame,
+     so one round trip serves d requests; depth 1 pays a full round
+     trip per op. *)
   print_newline ();
-  Report.heading "Net: TCP pipelining depth sweep (1KB reads)";
+  Report.heading "Net: TCP batch-depth sweep (1KB reads, one submit per batch)";
   let sweep_reads = if !full_scale then 4096 else 1024 in
   let oid = new_oid (Netclient.handle client) in
   ignore
@@ -1142,7 +1143,7 @@ let net () =
         let secs, () =
           wall (fun () ->
               for _ = 1 to batches do
-                ignore (Netclient.pipeline client cred (List.init depth (fun _ -> read)))
+                ignore (Netclient.submit client cred (Array.make depth read))
               done)
         in
         let n = batches * depth in
@@ -1977,6 +1978,8 @@ let readscale () =
   let qos_rounds = if !full_scale then 120 else 60 in
   let hog_batches = 6 and hog_batch = 24 in
   let hog_bytes = 2048 in
+  (* One request is a one-element Batch frame. *)
+  let one_frame xid req = Wire.encode (Wire.Batch { xid; cred; sync = false; reqs = [| req |] }) in
   let mk_pair ~qos =
     let clock = Simclock.create () in
     let drive =
@@ -1991,15 +1994,12 @@ let readscale () =
     let honest = Netserver.Session.create ~identity:8 srv in
     (* Seed one object per client. *)
     let mk_oid sess =
-      let frame =
-        Wire.encode
-          (Wire.Request { xid = 1L; cred; sync = false; req = Rpc.Create { acl = [] } })
-      in
+      let frame = one_frame 1L (Rpc.Create { acl = [] }) in
       Netserver.Session.feed sess frame 0 (Bytes.length frame);
       Netserver.Session.run sess;
       let rec find pos b =
         match Wire.decode b ~pos ~avail:(Bytes.length b - pos) with
-        | Wire.Frame (Wire.Response { resp = Rpc.R_oid oid; _ }, _) -> oid
+        | Wire.Frame (Wire.Batch_reply { resps = [| Rpc.R_oid oid |]; _ }, _) -> oid
         | Wire.Frame (_, used) -> find (pos + used) b
         | _ -> failwith "readscale qos: no oid response"
       in
@@ -2020,14 +2020,8 @@ let readscale () =
            })
     in
     let seed =
-      Wire.encode
-        (Wire.Request
-           {
-             xid = 2L;
-             cred;
-             sync = false;
-             req = Rpc.Write { oid = honest_oid; off = 0; len = 1024; data = Some (Bytes.make 1024 'o') };
-           })
+      one_frame 2L
+        (Rpc.Write { oid = honest_oid; off = 0; len = 1024; data = Some (Bytes.make 1024 'o') })
     in
     Netserver.Session.feed honest seed 0 (Bytes.length seed);
     Netserver.Session.run honest;
@@ -2035,9 +2029,7 @@ let readscale () =
     (clock, drive, srv, hog, honest, honest_oid, wframe)
   in
   let honest_read honest_oid xid =
-    Wire.encode
-      (Wire.Request
-         { xid; cred; sync = false; req = Rpc.Read { oid = honest_oid; off = 0; len = 1024; at = None } })
+    one_frame xid (Rpc.Read { oid = honest_oid; off = 0; len = 1024; at = None })
   in
   let run_cell ~qos ~with_hog label =
     let clock, drive, srv, hog, honest, honest_oid, wframe = mk_pair ~qos in
@@ -2146,7 +2138,7 @@ let experiments : (string * string * (unit -> unit)) list =
     ("ablation", "design-parameter sensitivity sweeps", ablation);
     ("faults", "media-fault sweep + crash-recovery spot check", faults);
     ("scale", "sharded-array throughput scaling + rebalance cost", scale);
-    ("net", "wire protocol: in-process vs loopback vs TCP + pipelining", net);
+    ("net", "wire protocol: in-process vs loopback vs TCP + batch depth", net);
     ("batch", "vectored submission group-commit sweep, batch size 1..64", batch);
     ("integrity", "audit-chain seal overhead vs unsealed, batch size 1..64", integrity_bench);
     ("persist", "sector-store backings: sim vs file vs file+O_DSYNC", persist);

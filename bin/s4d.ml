@@ -47,7 +47,7 @@ let max_batch_arg =
     value
     & opt int Netserver.default_config.Netserver.max_batch
     & info [ "max-batch" ] ~docv:"N"
-        ~doc:"Largest accepted batch frame (advertised to v2 clients in Stat).")
+        ~doc:"Largest accepted batch frame (advertised to clients in Stat).")
 
 let no_admin_arg =
   Arg.(

@@ -14,22 +14,3 @@ let handle t cred ?(sync = false) req = (t.submit cred ~sync [| req |]).(0)
 let make ~clock ~keep_data ~capacity ?(concurrency = Serial)
     ?(close = fun () -> ()) submit =
   { clock; keep_data; capacity; concurrency; submit; close }
-
-let of_handle ~clock ~keep_data ~capacity ?(close = fun () -> ())
-    (h : Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp) =
-  (* Group commit over a single-request handler: the barrier rides on
-     the last request of the batch, everything before it is unsynced.
-     A legacy handler can only barrier through a request, so the empty
-     batch falls back to an explicit (audited) Sync RPC. *)
-  let submit cred ?(sync = false) reqs =
-    let n = Array.length reqs in
-    if n = 0 then begin
-      if sync then ignore (h cred ~sync:true Rpc.Sync);
-      [||]
-    end
-    else
-      Array.mapi
-        (fun i req -> h cred ~sync:(sync && i = n - 1) req)
-        reqs
-  in
-  { clock; keep_data; capacity; concurrency = Serial; submit; close }

@@ -28,9 +28,9 @@
 
     - [Serial] — the producer's state is confined to one domain (or
       one systhread at a time). Callers that share the backend across
-      threads or domains must serialize every {!submit}/{!handle}/
-      [close] themselves; {!Net.Server} does this with its global
-      backend lock. The bare drive stack ([Drive], [Mirror], the
+      threads or domains must serialize every {!submit} (which
+      {!handle} is) and [close] themselves; {!Net.Server} does this
+      with its global backend lock. The bare drive stack ([Drive], [Mirror], the
       modelled and wire clients) is [Serial].
     - [Domain_safe] — concurrent {!submit} calls from different
       domains are safe. The producer provides its own internal
@@ -88,21 +88,3 @@ val make :
   t
 (** Build a backend. [concurrency] defaults to [Serial]; only declare
     [Domain_safe] when every entry point really is. *)
-
-val of_handle :
-  clock:S4_util.Simclock.t ->
-  keep_data:bool ->
-  capacity:(unit -> int * int) ->
-  ?close:(unit -> unit) ->
-  (Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp) ->
-  t
-  [@@ocaml.deprecated
-    "use Backend.make with a native vectored submit; of_handle cannot group-commit"]
-(** Wrap a legacy single-request handler that has no native group
-    commit: the batch runs one request at a time with [sync:false]
-    and, when [sync], the barrier is a trailing [Rpc.Sync] request.
-
-    @deprecated Every in-repo producer now implements [submit]
-    natively (drive, mirror, router, wire client, modelled client);
-    new producers should too. The wrapper survives one more release
-    for out-of-tree callers and then goes away. *)

@@ -2,7 +2,7 @@
 
     Holds attribute and data read replies keyed by (credential, oid,
     version instant, range), each guarded by a server-granted lease:
-    an absolute server-clock instant piggybacked on v3 reply frames
+    an absolute server-clock instant piggybacked on reply frames
     until which the client may answer the same read locally. The
     credential (user + admin flag) is part of the key because the
     server ACL-checks every request per credential: a reply earned by

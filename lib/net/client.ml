@@ -9,14 +9,8 @@ type config = {
   jitter : float;
   seed : int;
   claim_client : int;
-  advertise_version : int;
-      (* protocol version offered in Hello; lower it to exercise the
-         v1 fallback against a batch-capable server *)
   max_batch : int;  (* largest Batch frame this client will send *)
-  cache_budget : int;
-      (* lease-cache LRU budget in bytes; 0 disables the cache. Only
-         effective on a v3 session — an older server grants no leases,
-         which leaves the cache permanently empty. *)
+  cache_budget : int;  (* lease-cache LRU budget in bytes; 0 disables the cache *)
   cache_journal : bool;  (* record the cache event journal for Cache.check *)
 }
 
@@ -28,7 +22,6 @@ let default_config =
     jitter = 0.25;
     seed = 42;
     claim_client = 1;
-    advertise_version = Wire.version;
     max_batch = 256;
     cache_budget = 0;
     cache_journal = false;
@@ -41,7 +34,6 @@ type t = {
   mutable ep : Transport.endpoint option;
   mutable c_identity : int;
   mutable c_server_now : int64;
-  mutable c_version : int;  (* negotiated in the handshake *)
   mutable c_batch_limit : int;  (* server's advertised max batch; 0 unknown *)
   mutable next_xid : int64;
   mutable inbuf : Bytes.t;
@@ -63,7 +55,6 @@ let connect ?(config = default_config) transport =
     ep = None;
     c_identity = 0;
     c_server_now = 0L;
-    c_version = min config.advertise_version Wire.version;
     c_batch_limit = 0;
     next_xid = 1L;
     inbuf = Bytes.create 4096;
@@ -81,12 +72,12 @@ let identity t = t.c_identity
 let server_now t = t.c_server_now
 let cache t = t.c_cache
 
-(* Every v3 reply carries the server clock; the cache judges lease
-   expiry against the freshest value seen. *)
+(* Every reply carries the server clock; the cache judges lease expiry
+   against the freshest value seen. *)
 let observe_now t now =
   if now > t.c_server_now then t.c_server_now <- now;
   match t.c_cache with Some c -> Cache.observe_now c now | None -> ()
-let version t = t.c_version
+
 let server_batch_limit t = t.c_batch_limit
 let retries t = t.n_retries
 let reconnects t = t.n_reconnects
@@ -101,8 +92,8 @@ let fresh_xid t =
   t.next_xid <- Int64.add x 1L;
   x
 
-let send ?version e frame =
-  let b = Wire.encode ?version frame in
+let send e frame =
+  let b = Wire.encode frame in
   Metrics.incr "net/frames_out";
   Metrics.incr ~by:(Bytes.length b) "net/bytes_out";
   e.Transport.ep_send b
@@ -148,18 +139,12 @@ let ensure_ep t =
         e.Transport.ep_set_timeout (Some t.cfg.req_timeout_s);
         t.ep <- Some e;
         t.in_len <- 0;
-        (* The Hello bootstraps negotiation, so its header version is
-           the floor every peer can decode; the payload advertises our
-           best. The server acks the min of the two. *)
-        send ~version:Wire.min_version e
-          (Wire.Hello { version = t.cfg.advertise_version; claim = t.cfg.claim_client });
+        send e (Wire.Hello { claim = t.cfg.claim_client });
         let rec await () =
           match recv_frame t e with
-          | Wire.Hello_ack { version; identity; now } ->
-            t.c_version <- max Wire.min_version (min version t.cfg.advertise_version);
+          | Wire.Hello_ack { identity; now } ->
             t.c_identity <- identity;
-            if now > t.c_server_now then t.c_server_now <- now;
-            (match t.c_cache with Some c -> Cache.observe_now c now | None -> ())
+            observe_now t now
           | Wire.Proto_error { message; _ } ->
             raise (Permanent ("handshake refused: " ^ message))
           | _ -> await ()
@@ -173,35 +158,6 @@ let ensure_ep t =
         ok := true);
     if not !ok then t.ep <- None;
     e
-
-(* One request on the live endpoint; answers with the response and the
-   lease the server piggybacked on it (0 on a v1/v2 session). *)
-let rpc_once t cred sync req : Rpc.resp * int64 =
-  let e = ensure_ep t in
-  let xid = fresh_xid t in
-  send ~version:t.c_version e (Wire.Request { xid; cred; sync; req });
-  let rec await () =
-    match recv_frame t e with
-    | Wire.Response { xid = x; resp; now; lease } when Int64.equal x xid ->
-      observe_now t now;
-      (resp, lease)
-    | Wire.Response { now; _ } ->
-      (* stale answer from a timed-out request *)
-      observe_now t now;
-      await ()
-    | Wire.Proto_error { message; _ } ->
-      drop_ep t;
-      raise (Permanent ("server rejected request: " ^ message))
-    | Wire.Hello_ack { identity; now; _ } ->
-      t.c_identity <- identity;
-      observe_now t now;
-      await ()
-    | Wire.Stat_ack _ | Wire.Batch_reply _ -> await ()
-    | Wire.Hello _ | Wire.Request _ | Wire.Stat _ | Wire.Goodbye | Wire.Batch _ ->
-      drop_ep t;
-      raise Transport.Closed
-  in
-  await ()
 
 let backoff t attempt =
   let base = t.cfg.backoff_ms *. (2.0 ** float_of_int attempt) in
@@ -219,164 +175,35 @@ let failure_message = function
   | Unix.Unix_error (e, _, _) -> Unix.error_message e
   | exn -> Printexc.to_string exn
 
-let handle_wire t cred ~sync req : Rpc.resp * int64 =
-  let idempotent = not (Rpc.is_mutation req) in
-  let rec go attempt =
-    match rpc_once t cred sync req with
-    | answer -> answer
-    | exception Permanent msg -> (Rpc.R_error (Rpc.Io_error msg), 0L)
-    | exception exn when transient_failure exn ->
-      drop_ep t;
-      if idempotent && attempt < t.cfg.max_retries then begin
-        t.n_retries <- t.n_retries + 1;
-        Metrics.incr "net/retry";
-        backoff t attempt;
-        go (attempt + 1)
-      end
-      else (Rpc.R_error (Rpc.Io_error (failure_message exn)), 0L)
-  in
-  go 0
-
-let handle t cred ?(sync = false) req : Rpc.resp =
-  match t.c_cache with
-  | None -> fst (handle_wire t cred ~sync req)
-  | Some cache -> (
-    match Cache.find cache cred req with
-    | Some resp ->
-      Metrics.incr "net/cache_served";
-      resp
-    | None ->
-      let resp, lease = handle_wire t cred ~sync req in
-      if Rpc.is_mutation req then Cache.invalidate_req cache req
-      else Cache.store cache cred req resp ~lease;
-      resp)
-
-let pipeline t cred ?(sync = false) reqs : Rpc.resp list =
-  match reqs with
-  | [] -> []
-  | _ -> (
-    let fallback msg = List.map (fun _ -> Rpc.R_error (Rpc.Io_error msg)) reqs in
-    match ensure_ep t with
-    | exception Permanent msg -> fallback msg
-    | exception exn when transient_failure exn ->
-      drop_ep t;
-      fallback (failure_message exn)
-    | e -> (
-      try
-        let xids =
-          List.map
-            (fun req ->
-              let xid = fresh_xid t in
-              send ~version:t.c_version e (Wire.Request { xid; cred; sync; req });
-              xid)
-            reqs
-        in
-        let answers : (int64, Rpc.resp) Hashtbl.t = Hashtbl.create (List.length reqs) in
-        let outstanding = ref (List.length reqs) in
-        while !outstanding > 0 do
-          match recv_frame t e with
-          | Wire.Response { xid; resp; now; _ } ->
-            observe_now t now;
-            if not (Hashtbl.mem answers xid) then begin
-              Hashtbl.add answers xid resp;
-              decr outstanding
-            end
-          | Wire.Proto_error { message; _ } ->
-            drop_ep t;
-            raise (Permanent ("server rejected request: " ^ message))
-          | _ -> ()
-        done;
-        List.map
-          (fun xid ->
-            match Hashtbl.find_opt answers xid with
-            | Some r -> r
-            | None -> Rpc.R_error (Rpc.Io_error "no response"))
-          xids
-      with
-      | Permanent msg -> fallback msg
-      | exn when transient_failure exn ->
-        drop_ep t;
-        fallback (failure_message exn)))
-
-(* One batched exchange on the live endpoint. On a v2 session this is
-   a single [Batch] frame (one group-commit barrier server-side); a
-   peer negotiated down to v1 gets pipelined [Request] frames with the
-   durability barrier riding on the last one — the closest v1
-   approximation of group commit. *)
+(* One [Batch] frame on the live endpoint: one group-commit barrier
+   server-side, positional responses and leases back. *)
 let batch_once t cred sync (reqs : Rpc.req array) : Rpc.resp array * int64 array =
   let e = ensure_ep t in
-  if t.c_version >= 2 then begin
-    let xid = fresh_xid t in
-    send ~version:t.c_version e (Wire.Batch { xid; cred; sync; reqs });
-    let rec await () =
-      match recv_frame t e with
-      | Wire.Batch_reply { xid = x; resps; now; leases } when Int64.equal x xid ->
-        observe_now t now;
-        if Array.length resps = Array.length reqs then
-          ( resps,
-            if Array.length leases = Array.length resps then leases
-            else Array.make (Array.length resps) 0L )
-        else begin
-          drop_ep t;
-          raise (Permanent "batch response count mismatch")
-        end
-      | Wire.Batch_reply _ | Wire.Response _ -> await () (* stale answers *)
-      | Wire.Proto_error { message; _ } ->
+  let xid = fresh_xid t in
+  send e (Wire.Batch { xid; cred; sync; reqs });
+  let rec await () =
+    match recv_frame t e with
+    | Wire.Batch_reply { xid = x; resps; now; leases } when Int64.equal x xid ->
+      observe_now t now;
+      if Array.length resps = Array.length reqs then (resps, leases)
+      else begin
         drop_ep t;
-        raise (Permanent ("server rejected request: " ^ message))
-      | Wire.Hello_ack { identity; now; _ } ->
-        t.c_identity <- identity;
-        observe_now t now;
-        await ()
-      | Wire.Stat_ack _ -> await ()
-      | Wire.Hello _ | Wire.Request _ | Wire.Stat _ | Wire.Goodbye | Wire.Batch _ ->
-        drop_ep t;
-        raise Transport.Closed
-    in
-    await ()
-  end
-  else begin
-    let n = Array.length reqs in
-    if n = 0 then begin
-      (* No request to carry the barrier on a v1 session: an explicit
-         (audited) Sync is the only barrier v1 has. *)
-      if sync then ignore (rpc_once t cred true Rpc.Sync);
-      ([||], [||])
-    end
-    else begin
-      let xids =
-        Array.mapi
-          (fun i req ->
-            let xid = fresh_xid t in
-            send ~version:t.c_version e
-              (Wire.Request { xid; cred; sync = sync && i = n - 1; req });
-            xid)
-          reqs
-      in
-      let answers : (int64, Rpc.resp) Hashtbl.t = Hashtbl.create n in
-      let outstanding = ref n in
-      while !outstanding > 0 do
-        match recv_frame t e with
-        | Wire.Response { xid; resp; now; _ } ->
-          observe_now t now;
-          if not (Hashtbl.mem answers xid) then begin
-            Hashtbl.add answers xid resp;
-            decr outstanding
-          end
-        | Wire.Proto_error { message; _ } ->
-          drop_ep t;
-          raise (Permanent ("server rejected request: " ^ message))
-        | _ -> ()
-      done;
-      ( Array.map
-          (fun xid ->
-            match Hashtbl.find_opt answers xid with
-            | Some r -> r
-            | None -> Rpc.R_error (Rpc.Io_error "no response"))
-          xids,
-        Array.make n 0L )
-    end
-  end
+        raise (Permanent "batch response count mismatch")
+      end
+    | Wire.Batch_reply _ -> await () (* stale answer from a timed-out request *)
+    | Wire.Proto_error { message; _ } ->
+      drop_ep t;
+      raise (Permanent ("server rejected request: " ^ message))
+    | Wire.Hello_ack { identity; now } ->
+      t.c_identity <- identity;
+      observe_now t now;
+      await ()
+    | Wire.Stat_ack _ -> await ()
+    | Wire.Hello _ | Wire.Stat _ | Wire.Goodbye | Wire.Batch _ ->
+      drop_ep t;
+      raise Transport.Closed
+  in
+  await ()
 
 let submit_wire t cred ~sync (reqs : Rpc.req array) : Rpc.resp array * int64 array =
   let n = Array.length reqs in
@@ -405,7 +232,7 @@ let submit_wire t cred ~sync (reqs : Rpc.req array) : Rpc.resp array * int64 arr
         match batch_once t cred (sync && last) chunk with
         | resps, leases ->
           Array.blit resps 0 out pos len;
-          if Array.length leases = len then Array.blit leases 0 out_leases pos len;
+          Array.blit leases 0 out_leases pos len;
           if last then () else run (pos + len)
         | exception Permanent msg -> fill_from pos msg
         | exception exn when transient_failure exn ->
@@ -463,11 +290,13 @@ let submit t cred ?(sync = false) (reqs : Rpc.req array) : Rpc.resp array =
     end;
     Array.map (function Some r -> r | None -> Rpc.R_error (Rpc.Io_error "not executed")) out
 
+let handle t cred ?(sync = false) req = (submit t cred ~sync [| req |]).(0)
+
 let capacity t =
   let once () =
     let e = ensure_ep t in
     let xid = fresh_xid t in
-    send ~version:t.c_version e (Wire.Stat { xid });
+    send e (Wire.Stat { xid });
     let rec await () =
       match recv_frame t e with
       | Wire.Stat_ack { xid = x; total; free; now; batch } when Int64.equal x xid ->
@@ -499,7 +328,7 @@ let capacity t =
 
 let close t =
   (match t.ep with
-  | Some e -> ( try send ~version:t.c_version e Wire.Goodbye with _ -> ())
+  | Some e -> ( try send e Wire.Goodbye with _ -> ())
   | None -> ());
   drop_ep t
 

@@ -25,8 +25,8 @@ type config = {
   allow_admin : bool;
   max_batch : int;  (** largest accepted [Batch]; advertised in [Stat_ack] *)
   lease_ns : int64;
-      (** client-cache lease term granted on read replies (v3
-          sessions); 0 grants no leases *)
+      (** client-cache lease term granted on read replies; 0 grants
+          no leases *)
   qos : bool;
       (** arbitrate pending work across every session with weighted
           fair queueing instead of per-session FIFO *)
@@ -178,19 +178,13 @@ let conflicting_lease_expiry t ~holder ~now req =
 (* Sans-IO protocol session                                            *)
 
 module Session = struct
-  type work =
-    | W_one of int64 * Rpc.credential * bool * Rpc.req
-    | W_batch of int64 * Rpc.credential * bool * Rpc.req array
-
-  let work_units = function W_one _ -> 1 | W_batch (_, _, _, reqs) -> Array.length reqs
+  (* One queued [Batch] frame. *)
+  type work = { xid : int64; cred : Rpc.credential; sync : bool; reqs : Rpc.req array }
 
   type s = {
     srv : t;
     s_identity : int;
     s_trace : bool;
-    mutable s_version : int;
-        (* negotiated protocol version: every frame out is encoded at
-           it. Starts at our best; a [Hello] can only lower it. *)
     mutable inbuf : Bytes.t;
     mutable in_start : int;
     mutable in_len : int;
@@ -209,7 +203,6 @@ module Session = struct
       srv;
       s_identity = identity;
       s_trace = trace;
-      s_version = Wire.version;
       inbuf = Bytes.create 4096;
       in_start = 0;
       in_len = 0;
@@ -221,14 +214,13 @@ module Session = struct
     }
 
   let identity s = s.s_identity
-  let version s = s.s_version
   let closing s = s.s_closing
 
   let finished s =
     s.s_closing && s.s_inflight = 0 && Queue.is_empty s.pending && Buffer.length s.out = 0
 
   let emit s frame =
-    let b = Wire.encode ~version:s.s_version frame in
+    let b = Wire.encode frame in
     Metrics.incr "net/frames_out";
     Metrics.incr ~by:(Bytes.length b) "net/bytes_out";
     Mutex.lock s.out_lock;
@@ -269,8 +261,7 @@ module Session = struct
       Bytes.length d <> len
     | _ -> false
 
-  (* Execute a (possibly one-element) batch; the caller must hold the
-     server lock. Per-request policy violations (oversized IO,
+  (* Execute a batch; the caller must hold the server lock. Per-request policy violations (oversized IO,
      inconsistent data length) answer positionally without reaching
      the backend; the surviving requests go down as ONE vectored
      submission, so a [sync] batch pays a single group-commit
@@ -341,14 +332,13 @@ module Session = struct
 
   (* The lease piggybacked on a read reply: how long the client may
      serve this answer from its cache, as an absolute expiry on the
-     server's clock. Only granted on v3 sessions, only for plain
-     object reads — never for errors, and never for audit-trail reads
+     server's clock. Only granted for plain object reads — never for errors, and never for audit-trail reads
      (whose answers must always come from the drive). Every grant is
      recorded in the server's registry so conflicting mutations from
      other clients wait it out (the lease fence above). *)
   let lease_for s (req : Rpc.req) (resp : Rpc.resp) =
     let term = s.srv.cfg.lease_ns in
-    if s.s_version < 3 || Int64.compare term 0L <= 0 then 0L
+    if Int64.compare term 0L <= 0 then 0L
     else
       match (req, resp) with
       | (Rpc.Read { oid; at; _ } | Rpc.Get_attr { oid; at }), (Rpc.R_data _ | Rpc.R_attr _)
@@ -362,19 +352,14 @@ module Session = struct
 
   (* Execute one unit of queued work and emit its reply; the caller
      must hold the server lock in [qos] mode. *)
-  let finish_work s w =
-    s.s_inflight <- s.s_inflight - work_units w;
-    match w with
-    | W_one (xid, cred, sync, req) ->
-      let resp = (execute_batch_locked s cred sync [| req |]).(0) in
-      emit s (Wire.Response { xid; resp; now = now s; lease = lease_for s req resp })
-    | W_batch (xid, cred, sync, reqs) ->
-      let resps = execute_batch_locked s cred sync reqs in
-      let leases = Array.mapi (fun i resp -> lease_for s reqs.(i) resp) resps in
-      emit s (Wire.Batch_reply { xid; resps; now = now s; leases })
+  let finish_work s { xid; cred; sync; reqs } =
+    s.s_inflight <- s.s_inflight - Array.length reqs;
+    let resps = execute_batch_locked s cred sync reqs in
+    let leases = Array.mapi (fun i resp -> lease_for s reqs.(i) resp) resps in
+    emit s (Wire.Batch_reply { xid; resps; now = now s; leases })
 
   let enqueue s w =
-    let n = work_units w in
+    let n = Array.length w.reqs in
     if s.s_inflight + n > s.srv.cfg.max_inflight then
       reject s (Printf.sprintf "more than %d requests in flight" s.srv.cfg.max_inflight)
     else
@@ -395,32 +380,22 @@ module Session = struct
 
   let on_frame s (frame : Wire.frame) =
     match frame with
-    | Wire.Hello { version; claim = _ } ->
-      if version < Wire.min_version then
-        reject s (Printf.sprintf "unsupported client version %d" version)
-      else begin
-        (* Negotiate down to the best version both sides speak. *)
-        s.s_version <- min version Wire.version;
-        emit s
-          (Wire.Hello_ack { version = s.s_version; identity = s.s_identity; now = now s })
-      end
-    | Wire.Request { xid; cred; sync; req } -> enqueue s (W_one (xid, cred, sync, req))
+    | Wire.Hello { claim = _ } ->
+      (* A peer speaking any other version never gets here: its frames
+         fail [Wire.decode] and the stream is rejected. *)
+      emit s (Wire.Hello_ack { identity = s.s_identity; now = now s })
     | Wire.Batch { xid; cred; sync; reqs } ->
-      (* The decoder already rejects kind-8 frames in a v1 stream; this
-         catches a peer that negotiated v1 yet still sent v2 frames. *)
-      if s.s_version < 2 then reject s "batch frame on a v1 session"
-      else if Array.length reqs > s.srv.cfg.max_batch then
+      if Array.length reqs > s.srv.cfg.max_batch then
         reject s
           (Printf.sprintf "batch of %d exceeds limit %d" (Array.length reqs)
              s.srv.cfg.max_batch)
-      else enqueue s (W_batch (xid, cred, sync, reqs))
+      else enqueue s { xid; cred; sync; reqs }
     | Wire.Stat { xid } ->
       let total, free = with_backend s.srv (fun () -> s.srv.backend.Backend.capacity ()) in
       emit s
         (Wire.Stat_ack { xid; total; free; now = now s; batch = s.srv.cfg.max_batch })
     | Wire.Goodbye -> s.s_closing <- true
-    | Wire.Hello_ack _ | Wire.Response _ | Wire.Proto_error _ | Wire.Stat_ack _
-    | Wire.Batch_reply _ ->
+    | Wire.Hello_ack _ | Wire.Proto_error _ | Wire.Stat_ack _ | Wire.Batch_reply _ ->
       reject s (Printf.sprintf "unexpected %s frame from client" (Wire.frame_name frame))
 
   let compact s =

@@ -14,11 +14,16 @@
     frame another machine in the audit trail — the self-securing
     boundary of the paper, applied to the network edge.
 
-    {b Hostile input.} A frame {!Wire.decode} rejects is answered with
-    a [Proto_error], counted under [net/decode_reject], reported to the
-    backend's garbage-audit hook, and the connection is closed. Nothing
-    a peer sends can make the server raise or allocate beyond the
-    configured frame cap. *)
+    {b Hostile input.} A frame {!Wire.decode} rejects — including any
+    frame, [Hello] or otherwise, whose header names a version other
+    than {!Wire.version} — is answered with one [Proto_error], counted
+    under [net/decode_reject], reported to the backend's garbage-audit
+    hook, and the connection is closed. Nothing a peer sends can make
+    the server raise or allocate beyond the configured frame cap.
+
+    {b One request path.} Every request arrives in a [Batch] frame (a
+    single request is a one-element batch) and is executed as one
+    vectored backend submission answered by one [Batch_reply]. *)
 
 type audit_garbage = client:int -> info:string -> unit
 (** Record a protocol-level rejection in the audit trail. *)
@@ -34,10 +39,10 @@ type config = {
           [Permission_denied] when false (admin stays console-only) *)
   max_batch : int;
       (** largest accepted [Batch] frame (requests per batch);
-          advertised to v2 peers in [Stat_ack] *)
+          advertised in [Stat_ack] *)
   lease_ns : int64;
       (** client-cache lease term: every successful [Read]/[Get_attr]
-          reply on a v3 session carries an absolute expiry of
+          reply carries an absolute expiry of
           [now + lease_ns], authorizing the client to serve that
           answer from its cache until then. The server honours the
           classic lease discipline in return: a mutation that could
@@ -111,15 +116,14 @@ module Session : sig
 
   val feed : s -> Bytes.t -> int -> int -> unit
   (** Consume raw bytes from the peer. Parses as many complete frames
-      as are present; control frames are answered immediately, requests
+      as are present; control frames are answered immediately, batches
       are queued for {!step}. Input after close is discarded. *)
 
   val step : s -> bool
-  (** Execute one queued request — or one whole queued batch, as ONE
-      vectored backend submission with a single group-commit barrier —
-      under the server lock (or lock-free against a [Domain_safe]
-      backend, see {!create}), and queue its response bytes. False if
-      nothing was pending. *)
+  (** Execute one queued batch, as ONE vectored backend submission
+      with a single group-commit barrier, under the server lock (or
+      lock-free against a [Domain_safe] backend, see {!create}), and
+      queue its response bytes. False if nothing was pending. *)
 
   val run : s -> unit
   (** {!step} until the pending queue is empty. In [qos] mode this
@@ -138,10 +142,6 @@ module Session : sig
   (** Closing, nothing pending, nothing buffered: drop the connection. *)
 
   val identity : s -> int
-
-  val version : s -> int
-  (** Negotiated protocol version (set by the peer's [Hello]; starts
-      at {!Wire.version}). Batch frames are refused below 2. *)
 end
 
 (** {1 TCP daemon} *)

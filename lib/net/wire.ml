@@ -7,10 +7,8 @@ module Metrics = S4_obs.Metrics
 module Chain = S4_integrity.Chain
 
 type frame =
-  | Hello of { version : int; claim : int }
-  | Hello_ack of { version : int; identity : int; now : int64 }
-  | Request of { xid : int64; cred : Rpc.credential; sync : bool; req : Rpc.req }
-  | Response of { xid : int64; resp : Rpc.resp; now : int64; lease : int64 }
+  | Hello of { claim : int }
+  | Hello_ack of { identity : int; now : int64 }
   | Proto_error of { xid : int64; message : string }
   | Stat of { xid : int64 }
   | Stat_ack of { xid : int64; total : int; free : int; now : int64; batch : int }
@@ -18,21 +16,10 @@ type frame =
   | Batch of { xid : int64; cred : Rpc.credential; sync : bool; reqs : Rpc.req array }
   | Batch_reply of { xid : int64; resps : Rpc.resp array; now : int64; leases : int64 array }
 
-(* Version 2 adds the vectored frames ([Batch]/[Batch_reply]) and a
-   max-batch field in [Stat_ack]. A peer advertises its best version
-   in [Hello]; the server acks the minimum of the two and every
-   subsequent frame on the connection is encoded at that version.
-   Version-1 sessions are still fully supported (minus batching).
-
-   Version 3 piggybacks the server's clock and cache leases on reply
-   frames: [Response] carries [now] (server time when the reply was
-   made) and [lease] (absolute server-time expiry until which the
-   client may serve this reply from its cache; 0 = not cacheable), and
-   [Batch_reply] carries [now] plus one lease per response. On a v1/v2
-   stream the fields are neither encoded nor decoded — they read back
-   as 0, so older peers simply never cache. *)
-let version = 3
-let min_version = 1
+(* Every peer is built from this tree and no on-disk format stores
+   frames, so exactly one version is spoken; the header byte is the
+   only version check. *)
+let version = 4
 let magic = "S4WP"
 let header_len = 20
 let overhead = header_len + 4
@@ -41,8 +28,6 @@ let max_frame_default = 4 * 1024 * 1024
 let frame_name = function
   | Hello _ -> "hello"
   | Hello_ack _ -> "hello_ack"
-  | Request _ -> "request"
-  | Response _ -> "response"
   | Proto_error _ -> "proto_error"
   | Stat _ -> "stat"
   | Stat_ack _ -> "stat_ack"
@@ -398,8 +383,6 @@ let r_resp r : Rpc.resp =
 let kind_code = function
   | Hello _ -> 0
   | Hello_ack _ -> 1
-  | Request _ -> 2
-  | Response _ -> 3
   | Proto_error _ -> 4
   | Stat _ -> 5
   | Stat_ack _ -> 6
@@ -409,36 +392,19 @@ let kind_code = function
 
 let frame_xid = function
   | Hello _ | Hello_ack _ | Goodbye -> 0L
-  | Request { xid; _ } | Response { xid; _ } | Proto_error { xid; _ } | Stat { xid }
-  | Stat_ack { xid; _ } | Batch { xid; _ } | Batch_reply { xid; _ } ->
+  | Proto_error { xid; _ } | Stat { xid } | Stat_ack { xid; _ } | Batch { xid; _ }
+  | Batch_reply { xid; _ } ->
     xid
 
-let payload_of v = function
-  | Hello { version; claim } ->
+let payload_of = function
+  | Hello { claim } ->
     let w = Bcodec.writer () in
-    Bcodec.w_u16 w version;
     w_id w claim;
     Bcodec.contents w
-  | Hello_ack { version; identity; now } ->
+  | Hello_ack { identity; now } ->
     let w = Bcodec.writer () in
-    Bcodec.w_u16 w version;
     w_id w identity;
     Bcodec.w_i64 w now;
-    Bcodec.contents w
-  | Request { xid = _; cred; sync; req } ->
-    let w = Bcodec.writer () in
-    w_cred w cred;
-    w_bool w sync;
-    w_req w req;
-    Bcodec.contents w
-  | Response { xid = _; resp; now; lease } ->
-    let w = Bcodec.writer () in
-    w_resp w resp;
-    (* Server-clock + lease piggyback only exists in the v3 payload. *)
-    if v >= 3 then begin
-      Bcodec.w_i64 w now;
-      Bcodec.w_i64 w lease
-    end;
     Bcodec.contents w
   | Proto_error { xid = _; message } ->
     let w = Bcodec.writer () in
@@ -450,9 +416,7 @@ let payload_of v = function
     Bcodec.w_int w total;
     Bcodec.w_int w free;
     Bcodec.w_i64 w now;
-    (* The batch-support advertisement only exists in the v2 payload;
-       a v1 peer never learns of it (and could not use it). *)
-    if v >= 2 then Bcodec.w_int w batch;
+    Bcodec.w_int w batch;
     Bcodec.contents w
   | Goodbye -> Bytes.empty
   | Batch { xid = _; cred; sync; reqs } ->
@@ -466,23 +430,16 @@ let payload_of v = function
     let w = Bcodec.writer () in
     Bcodec.w_int w (Array.length resps);
     Array.iter (w_resp w) resps;
-    if v >= 3 then begin
-      Bcodec.w_i64 w now;
-      (* One lease per response, in order; a short array pads with 0
-         (not cacheable) so the frame shape is always n leases. *)
-      Array.iteri
-        (fun i _ ->
-          Bcodec.w_i64 w (if i < Array.length leases then leases.(i) else 0L))
-        resps
-    end;
+    Bcodec.w_i64 w now;
+    (* One lease per response, in order; a short array pads with 0
+       (not cacheable) so the frame shape is always n leases. *)
+    Array.iteri
+      (fun i _ -> Bcodec.w_i64 w (if i < Array.length leases then leases.(i) else 0L))
+      resps;
     Bcodec.contents w
 
-let encode ?(version = version) frame =
-  (match frame with
-   | (Batch _ | Batch_reply _) when version < 2 ->
-     invalid_arg "Wire.encode: batch frames require protocol version 2"
-   | _ -> ());
-  let payload = payload_of version frame in
+let encode frame =
+  let payload = payload_of frame in
   let plen = Bytes.length payload in
   let b = Bytes.create (overhead + plen) in
   Bytes.blit_string magic 0 b 0 4;
@@ -501,33 +458,21 @@ let encode ?(version = version) frame =
 
 type decoded = Frame of frame * int | Need_more of int | Corrupt of string
 
-let parse_payload v kind xid payload : frame =
+let parse_payload kind xid payload : frame =
   let r = Bcodec.reader payload in
   let f =
     match kind with
-    | 0 ->
-      let version = Bcodec.r_u16 r in
-      Hello { version; claim = r_id r }
+    | 0 -> Hello { claim = r_id r }
     | 1 ->
-      let version = Bcodec.r_u16 r in
       let identity = r_id r in
-      Hello_ack { version; identity; now = Bcodec.r_i64 r }
-    | 2 ->
-      let cred = r_cred r in
-      let sync = r_bool r in
-      Request { xid; cred; sync; req = r_req r }
-    | 3 ->
-      let resp = r_resp r in
-      let now = if v >= 3 then Bcodec.r_i64 r else 0L in
-      let lease = if v >= 3 then Bcodec.r_i64 r else 0L in
-      Response { xid; resp; now; lease }
+      Hello_ack { identity; now = Bcodec.r_i64 r }
     | 4 -> Proto_error { xid; message = Bcodec.r_string r }
     | 5 -> Stat { xid }
     | 6 ->
       let total = Bcodec.r_int r in
       let free = Bcodec.r_int r in
       let now = Bcodec.r_i64 r in
-      let batch = if v >= 2 then Bcodec.r_int r else 0 in
+      let batch = Bcodec.r_int r in
       Stat_ack { xid; total; free; now; batch }
     | 7 -> Goodbye
     | 8 ->
@@ -540,8 +485,8 @@ let parse_payload v kind xid payload : frame =
       let n = Bcodec.r_int r in
       checked_count r n;
       let resps = Array.init n (fun _ -> r_resp r) in
-      let now = if v >= 3 then Bcodec.r_i64 r else 0L in
-      let leases = if v >= 3 then Array.init n (fun _ -> Bcodec.r_i64 r) else [||] in
+      let now = Bcodec.r_i64 r in
+      let leases = Array.init n (fun _ -> Bcodec.r_i64 r) in
       Batch_reply { xid; resps; now; leases }
     | k -> fail (Printf.sprintf "bad frame kind %d" k)
   in
@@ -567,9 +512,9 @@ let decode ?(max_frame = max_frame_default) buf ~pos ~avail =
       let reserved = Bcodec.get_u16 buf (pos + 6) in
       let xid = Bcodec.get_i64 buf (pos + 8) in
       let plen = Bcodec.get_u32 buf (pos + 16) in
-      if v < min_version || v > version then reject "unsupported version %d" v
-      else if kind > 9 then reject "bad frame kind %d" kind
-      else if kind >= 8 && v < 2 then reject "batch frame in a v%d stream" v
+      (* Kinds 2/3 were the retired single-request frames. *)
+      if v <> version then reject "unsupported version %d" v
+      else if kind > 9 || kind = 2 || kind = 3 then reject "bad frame kind %d" kind
       else if reserved <> 0 then reject "nonzero reserved field"
       else if plen > max_frame then reject "frame payload %d exceeds limit %d" plen max_frame
       else begin
@@ -581,7 +526,7 @@ let decode ?(max_frame = max_frame_default) buf ~pos ~avail =
           if Int32.to_int crc land 0xFFFFFFFF <> stored then reject "crc mismatch"
           else begin
             let payload = Bytes.sub buf (pos + header_len) plen in
-            match parse_payload v kind xid payload with
+            match parse_payload kind xid payload with
             | f -> Frame (f, total)
             | exception Reject m -> Corrupt m
             | exception Bcodec.Decode_error m -> Corrupt m

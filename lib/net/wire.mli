@@ -1,4 +1,4 @@
-(** Versioned, length-prefixed binary wire protocol for S4 RPC.
+(** Length-prefixed binary wire protocol for S4 RPC.
 
     This is the drive's real security boundary: everything that
     arrives on a connection is hostile until this codec has accepted
@@ -7,7 +7,7 @@
     {v
       offset size  field
       0      4     magic "S4WP"
-      4      1     protocol version (1, 2 or 3)
+      4      1     protocol version (always {!version})
       5      1     frame kind
       6      2     reserved (must be zero)
       8      8     xid (request id; 0 for control frames)
@@ -16,18 +16,14 @@
       20+len 4     CRC-32 of bytes [0, 20+len)
     v}
 
-    {b Versioning.} A peer advertises its best protocol version in
-    [Hello]; the server answers [Hello_ack] with the minimum of the
-    two and every later frame on the connection is encoded at that
-    negotiated version. Version 2 adds the vectored [Batch] /
-    [Batch_reply] frames (group-commit submission) and a max-batch
-    advertisement in [Stat_ack]; both are rejected inside a v1
-    stream, and a client negotiated down to v1 falls back to
-    pipelining individual [Request] frames. Version 3 piggybacks the
-    server clock and client-cache leases on reply frames ([now] /
-    [lease] on [Response], [now] / [leases] on [Batch_reply]); on a
-    v1/v2 stream the fields are absent and decode as 0, so an older
-    peer simply never caches.
+    {b One version, one request frame.} Every peer is built from the
+    same tree and no on-disk format stores frames, so there is no
+    negotiation: the header's version byte must equal {!version} or
+    the frame is {!Corrupt}. Every request travels in a [Batch] (one
+    request is a one-element batch) and is answered by a
+    [Batch_reply] that piggybacks the server clock and one
+    client-cache lease per response. Kind codes 2 and 3 belonged to
+    retired single-request frames and decode as a bad frame kind.
 
     Decoding is strict and bounded: a declared payload longer than the
     decoder's [max_frame] is rejected {e before} any payload arrives
@@ -38,40 +34,31 @@
     input yields {!Corrupt}, never an exception. *)
 
 type frame =
-  | Hello of { version : int; claim : int }
+  | Hello of { claim : int }
       (** client handshake; [claim] is the client id the host {e
           claims} — the server derives the real identity from the
           connection and echoes it in {!Hello_ack} *)
-  | Hello_ack of { version : int; identity : int; now : int64 }
-  | Request of { xid : int64; cred : S4.Rpc.credential; sync : bool; req : S4.Rpc.req }
-  | Response of { xid : int64; resp : S4.Rpc.resp; now : int64; lease : int64 }
-      (** [now] is the server's clock when the reply was made; [lease]
-          the absolute server-time instant until which the client may
-          serve this reply from its cache (0 = not cacheable). Both 0
-          on a v1/v2 session. *)
+  | Hello_ack of { identity : int; now : int64 }
   | Proto_error of { xid : int64; message : string }
       (** protocol-level rejection (bad frame, limit exceeded); the
           sender closes the connection after emitting one *)
   | Stat of { xid : int64 }
   | Stat_ack of { xid : int64; total : int; free : int; now : int64; batch : int }
-      (** [batch] is the server's max accepted batch size (0 on a v1
-          session: the field is absent from the v1 payload) *)
+      (** [batch] is the server's max accepted batch size *)
   | Goodbye  (** graceful close: the peer drains in-flight requests *)
   | Batch of
       { xid : int64; cred : S4.Rpc.credential; sync : bool; reqs : S4.Rpc.req array }
-      (** v2: one vectored submission; [sync] asks for a single
+      (** one vectored submission; [sync] asks for a single
           group-commit barrier after the last request *)
   | Batch_reply of
       { xid : int64; resps : S4.Rpc.resp array; now : int64; leases : int64 array }
-      (** v2: positional responses to a [Batch]. v3 adds the server
-          clock and one lease per response ([0L] = not cacheable);
-          [leases] is empty on a v1/v2 session. *)
+      (** positional responses to a [Batch]. [now] is the server's
+          clock when the reply was made; [leases.(i)] is the absolute
+          server-time instant until which the client may serve
+          [resps.(i)] from its cache ([0L] = not cacheable). *)
 
 val version : int
-(** Best protocol version this build speaks (3). *)
-
-val min_version : int
-(** Oldest version still accepted on the wire (1). *)
+(** The one protocol version this build speaks (4). *)
 
 val header_len : int
 (** Fixed frame header size (before the payload). *)
@@ -82,10 +69,8 @@ val overhead : int
 val max_frame_default : int
 (** Default payload-size cap (4 MiB). *)
 
-val encode : ?version:int -> frame -> Bytes.t
-(** A complete frame, CRC included, encoded at the session's
-    negotiated [version] (default: this build's best). Encoding a
-    batch frame at v1 is a programming error ([Invalid_argument]). *)
+val encode : frame -> Bytes.t
+(** A complete frame, CRC included. *)
 
 type decoded =
   | Frame of frame * int  (** a whole frame and the bytes it consumed *)

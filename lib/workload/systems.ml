@@ -229,45 +229,6 @@ let all_four ?(config = Config.default) () =
     linux_ext2 ~config ();
   ]
 
-(* Compat wrappers over the old optional-argument constructors. They
-   survive exactly one release; new code builds a {!Config.t}. *)
-module Legacy = struct
-  let cfg ?disk_mb ?(drive_config = benchmark_drive_config) ?(mirrored = false)
-      ?(balanced = false) ?(read_overlap = false) ?server_config ?client_config () =
-    {
-      Config.default with
-      disk_mb;
-      drive_config;
-      mirrored;
-      balanced;
-      read_overlap;
-      server_config;
-      client_config;
-    }
-
-  let s4_remote ?disk_mb ?drive_config () =
-    s4_remote ~config:(cfg ?disk_mb ?drive_config ()) ()
-
-  let s4_nfs_server ?disk_mb ?drive_config () =
-    s4_nfs_server ~config:(cfg ?disk_mb ?drive_config ()) ()
-
-  let s4_array ?disk_mb ?drive_config ?mirrored ?balanced ?read_overlap ~shards () =
-    s4_array ~config:(cfg ?disk_mb ?drive_config ?mirrored ?balanced ?read_overlap ()) ~shards ()
-
-  let s4_direct ?disk_mb ?drive_config () =
-    s4_direct ~config:(cfg ?disk_mb ?drive_config ()) ()
-
-  let s4_loopback ?disk_mb ?drive_config ?server_config ?client_config () =
-    s4_loopback ~config:(cfg ?disk_mb ?drive_config ?server_config ?client_config ()) ()
-
-  let s4_tcp ?disk_mb ?drive_config () = s4_tcp ~config:(cfg ?disk_mb ?drive_config ()) ()
-  let bsd_ffs ?disk_mb () = bsd_ffs ~config:(cfg ?disk_mb ()) ()
-  let linux_ext2 ?disk_mb () = linux_ext2 ~config:(cfg ?disk_mb ()) ()
-
-  let all_four ?disk_mb ?drive_config () =
-    all_four ~config:(cfg ?disk_mb ?drive_config ()) ()
-end
-
 let elapsed_seconds t thunk =
   let t0 = Simclock.now t.clock in
   let v = thunk () in

@@ -117,39 +117,6 @@ val benchmark_drive_config : S4.Drive.config
 (** Drive configuration for timing experiments: contents not retained
     ([keep_data:false]), paper cache sizes, throttle off. *)
 
-(** The pre-{!Config} constructor signatures, kept for exactly one
-    release as thin wrappers. New code builds a {!Config.t}. *)
-module Legacy : sig
-  val s4_remote : ?disk_mb:int -> ?drive_config:S4.Drive.config -> unit -> t
-  val s4_nfs_server : ?disk_mb:int -> ?drive_config:S4.Drive.config -> unit -> t
-
-  val s4_array :
-    ?disk_mb:int ->
-    ?drive_config:S4.Drive.config ->
-    ?mirrored:bool ->
-    ?balanced:bool ->
-    ?read_overlap:bool ->
-    shards:int ->
-    unit ->
-    t
-
-  val s4_direct : ?disk_mb:int -> ?drive_config:S4.Drive.config -> unit -> t
-
-  val s4_loopback :
-    ?disk_mb:int ->
-    ?drive_config:S4.Drive.config ->
-    ?server_config:S4_net.Server.config ->
-    ?client_config:S4_net.Client.config ->
-    unit ->
-    t
-
-  val s4_tcp : ?disk_mb:int -> ?drive_config:S4.Drive.config -> unit -> t * (unit -> unit)
-  val bsd_ffs : ?disk_mb:int -> unit -> t
-  val linux_ext2 : ?disk_mb:int -> unit -> t
-  val all_four : ?disk_mb:int -> ?drive_config:S4.Drive.config -> unit -> t list
-end
-[@@ocaml.deprecated "build a Systems.Config.t and call the primary constructors"]
-
 val elapsed_seconds : t -> (unit -> 'a) -> float * 'a
 (** Run a thunk and report the simulated seconds it consumed. *)
 

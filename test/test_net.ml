@@ -152,17 +152,19 @@ let gen_frame =
     let xid = map Int64.of_int (0 -- 1_000_000) in
     frequency
       [
-        (1, map2 (fun version claim -> Wire.Hello { version; claim }) (0 -- 3) gen_principal);
+        (1, map (fun claim -> Wire.Hello { claim }) gen_principal);
         ( 1,
-          let* version = 0 -- 3 and* identity = gen_principal and* now = gen_time in
-          return (Wire.Hello_ack { version; identity; now }) );
+          let* identity = gen_principal and* now = gen_time in
+          return (Wire.Hello_ack { identity; now }) );
+        (* One request is a one-element batch: weight the shape the
+           client sends for every single request. *)
         ( 6,
           let* xid = xid and* cred = gen_cred and* sync = bool and* req = gen_req in
-          return (Wire.Request { xid; cred; sync; req }) );
+          return (Wire.Batch { xid; cred; sync; reqs = [| req |] }) );
         ( 6,
           let* xid = xid and* resp = gen_resp and* now = gen_time
           and* lease = gen_time in
-          return (Wire.Response { xid; resp; now; lease }) );
+          return (Wire.Batch_reply { xid; resps = [| resp |]; now; leases = [| lease |] }) );
         ( 1,
           let* xid = xid and* message = gen_name in
           return (Wire.Proto_error { xid; message }) );
@@ -250,7 +252,45 @@ let test_oversized_rejected_from_header () =
 (* --- sans-IO session -------------------------------------------------- *)
 
 let request xid req =
-  Wire.encode (Wire.Request { xid = Int64.of_int xid; cred; sync = false; req })
+  Wire.encode (Wire.Batch { xid = Int64.of_int xid; cred; sync = false; reqs = [| req |] })
+
+(* Rewrite one header byte of an encoded frame and re-seal its CRC, so
+   the header field is the only thing wrong with it. *)
+let with_header_byte b ~at v =
+  let b = Bytes.copy b in
+  Bytes.set_uint8 b at v;
+  let n = Bytes.length b - 4 in
+  S4_util.Bcodec.set_u32 b n (Int32.to_int (S4_util.Crc32.sub b ~pos:0 ~len:n) land 0xFFFFFFFF);
+  b
+
+(* Exactly one wire version and one request frame exist: a frame from
+   any other version (a [Hello] included) and the retired
+   single-request kinds 2/3 are each refused with one [Proto_error],
+   a counted decode rejection and a closed session. *)
+let test_foreign_frames_rejected () =
+  let hello = Wire.encode (Wire.Hello { claim = 1 }) in
+  let sync = request 1 Rpc.Sync in
+  let cases =
+    [
+      ("batch from the next version", with_header_byte sync ~at:4 (Wire.version + 1));
+      ("hello from the previous version", with_header_byte hello ~at:4 (Wire.version - 1));
+      ("retired kind 2", with_header_byte sync ~at:5 2);
+      ("retired kind 3", with_header_byte sync ~at:5 3);
+    ]
+  in
+  List.iter
+    (fun (label, frame) ->
+      let sess = Netserver.Session.create (Netserver.of_drive (mk_drive ())) in
+      let before = Metrics.counter "net/decode_reject" in
+      Netserver.Session.feed sess frame 0 (Bytes.length frame);
+      Netserver.Session.run sess;
+      (match decode_all (Netserver.Session.output sess) with
+      | [ Wire.Proto_error _ ] -> ()
+      | fs -> Alcotest.failf "%s: expected one Proto_error, got %d frames" label (List.length fs));
+      check Alcotest.bool (label ^ ": session closed") true (Netserver.Session.closing sess);
+      check Alcotest.int (label ^ ": decode_reject ticked") (before + 1)
+        (Metrics.counter "net/decode_reject"))
+    cases
 
 let test_session_garbage_audited () =
   let drive = mk_drive () in
@@ -287,7 +327,7 @@ let test_session_max_inflight () =
   let sess = Netserver.Session.create srv in
   let burst = Bytes.concat Bytes.empty (List.init 3 (fun i -> request i Rpc.Sync)) in
   Netserver.Session.feed sess burst 0 (Bytes.length burst);
-  check Alcotest.bool "over-limit pipelining closes the connection" true
+  check Alcotest.bool "over-limit requests close the connection" true
     (Netserver.Session.closing sess);
   Netserver.Session.run sess;
   let frames = decode_all (Netserver.Session.output sess) in
@@ -479,7 +519,7 @@ let tcp_client ?(max_retries = 1) port =
   in
   Netclient.connect ~config (Nettransport.tcp ~host:"127.0.0.1" ~port)
 
-let test_tcp_rpc_and_pipelining () =
+let test_tcp_rpc_and_batched_reads () =
   with_tcp_server (fun _drive port ->
       let client = tcp_client port in
       let oid = create_object (Netclient.handle client) in
@@ -491,14 +531,14 @@ let test_tcp_rpc_and_pipelining () =
       | Rpc.R_unit -> ()
       | r -> Alcotest.failf "tcp write: %a" Rpc.pp_resp r);
       let reads =
-        List.init 16 (fun _ -> Rpc.Read { oid; off = 0; len = Bytes.length payload; at = None })
+        Array.make 16 (Rpc.Read { oid; off = 0; len = Bytes.length payload; at = None })
       in
-      let resps = Netclient.pipeline client cred reads in
-      check Alcotest.int "one response per request" 16 (List.length resps);
-      List.iter
+      let resps = Netclient.submit client cred reads in
+      check Alcotest.int "one response per request" 16 (Array.length resps);
+      Array.iter
         (function
-          | Rpc.R_data b -> check Alcotest.bytes "pipelined read" payload b
-          | r -> Alcotest.failf "pipelined read: %a" Rpc.pp_resp r)
+          | Rpc.R_data b -> check Alcotest.bytes "batched read" payload b
+          | r -> Alcotest.failf "batched read: %a" Rpc.pp_resp r)
         resps;
       Netclient.close client)
 
@@ -552,7 +592,7 @@ let test_tcp_shutdown_refuses_new_work () =
   | Rpc.R_error (Rpc.Io_error _) -> ()
   | r -> Alcotest.failf "expected Io_error after shutdown, got %a" Rpc.pp_resp r
 
-(* --- batched submission and version negotiation ----------------------- *)
+(* --- batched submission ------------------------------------------------ *)
 
 let test_loopback_batch_submit () =
   let drive = mk_drive () in
@@ -580,8 +620,6 @@ let test_loopback_batch_submit () =
       | 1, Rpc.R_data b -> check Alcotest.bytes "batched read" payload b
       | _ -> Alcotest.failf "slot %d: %a" i Rpc.pp_resp r)
     resps;
-  check Alcotest.int "session negotiated the best version" Wire.version
-    (Netclient.version client);
   (* An empty batch with sync is a pure barrier. *)
   let none = Netclient.submit client cred ~sync:true [||] in
   check Alcotest.int "empty batch" 0 (Array.length none);
@@ -615,48 +653,6 @@ let test_batch_chunking () =
         resps;
       Netclient.close client)
 
-let test_v1_negotiation_fallback () =
-  let drive = mk_drive () in
-  let srv = Netserver.of_drive drive in
-  let config = { Netclient.default_config with Netclient.advertise_version = 1 } in
-  let client = Netclient.connect ~config (Nettransport.loopback srv) in
-  let oid = create_object (Netclient.handle client) in
-  check Alcotest.int "negotiated down to v1" 1 (Netclient.version client);
-  let payload = Bytes.make 512 'v' in
-  let reqs =
-    Array.init 8 (fun i -> Rpc.Write { oid; off = i * 512; len = 512; data = Some payload })
-  in
-  (* submit still works: it degrades to pipelined Requests with the
-     sync riding on the last one. *)
-  let resps = Netclient.submit client cred ~sync:true reqs in
-  check Alcotest.int "positional responses over v1" 8 (Array.length resps);
-  Array.iter
-    (function Rpc.R_unit -> () | r -> Alcotest.failf "v1 submit: %a" Rpc.pp_resp r)
-    resps;
-  (match Netclient.handle client cred (Rpc.Read { oid; off = 0; len = 512; at = None }) with
-  | Rpc.R_data b -> check Alcotest.bytes "v1 batch landed" payload b
-  | r -> Alcotest.failf "read: %a" Rpc.pp_resp r);
-  (* The batch advertisement is a v2 payload field; a v1 session never
-     sees it. *)
-  ignore (Netclient.capacity client);
-  check Alcotest.int "no batch advertisement on v1" 0 (Netclient.server_batch_limit client);
-  Netclient.close client
-
-let test_batch_frame_on_v1_session_rejected () =
-  let drive = mk_drive () in
-  let srv = Netserver.of_drive drive in
-  let sess = Netserver.Session.create srv in
-  let hello = Wire.encode ~version:Wire.min_version (Wire.Hello { version = 1; claim = 1 }) in
-  Netserver.Session.feed sess hello 0 (Bytes.length hello);
-  check Alcotest.int "session dropped to v1" 1 (Netserver.Session.version sess);
-  let batch = Wire.encode (Wire.Batch { xid = 7L; cred; sync = false; reqs = [| Rpc.Sync |] }) in
-  Netserver.Session.feed sess batch 0 (Bytes.length batch);
-  Netserver.Session.run sess;
-  check Alcotest.bool "connection closed" true (Netserver.Session.closing sess);
-  match decode_all (Netserver.Session.output sess) with
-  | [ Wire.Hello_ack _; Wire.Proto_error _ ] -> ()
-  | fs -> Alcotest.failf "expected Hello_ack then Proto_error, got %d frames" (List.length fs)
-
 let test_oversized_batch_rejected () =
   let drive = mk_drive () in
   let config = { Netserver.default_config with Netserver.max_batch = 4 } in
@@ -680,35 +676,11 @@ let lease_server ?(lease_ns = 60_000_000_000L) () =
   let config = { Netserver.default_config with Netserver.lease_ns } in
   (drive, Netserver.of_drive ~config drive)
 
-let cached_client ?(advertise_version = Wire.version) srv =
+let cached_client srv =
   let config =
-    {
-      Netclient.default_config with
-      Netclient.advertise_version;
-      cache_budget = 1 lsl 20;
-      cache_journal = true;
-    }
+    { Netclient.default_config with Netclient.cache_budget = 1 lsl 20; cache_journal = true }
   in
   Netclient.connect ~config (Nettransport.loopback srv)
-
-let test_v2_encoding_carries_no_lease () =
-  (* The lease fields are v3 payload: encoded at v2 they simply do not
-     travel, so a downgraded session degrades to lease-free replies
-     rather than corrupting the frame. *)
-  let f = Wire.Response { xid = 5L; resp = Rpc.R_unit; now = 777L; lease = 999L } in
-  let b = Wire.encode ~version:2 f in
-  (match Wire.decode b ~pos:0 ~avail:(Bytes.length b) with
-  | Wire.Frame (Wire.Response { xid = 5L; resp = Rpc.R_unit; now = 0L; lease = 0L }, _) -> ()
-  | Wire.Frame (g, _) -> Alcotest.failf "unexpected v2 decode: %s" (Wire.frame_name g)
-  | _ -> Alcotest.fail "v2 response did not decode");
-  let f =
-    Wire.Batch_reply { xid = 6L; resps = [| Rpc.R_unit |]; now = 777L; leases = [| 999L |] }
-  in
-  let b = Wire.encode ~version:2 f in
-  match Wire.decode b ~pos:0 ~avail:(Bytes.length b) with
-  | Wire.Frame (Wire.Batch_reply { now = 0L; leases = [||]; _ }, _) -> ()
-  | Wire.Frame (g, _) -> Alcotest.failf "unexpected v2 decode: %s" (Wire.frame_name g)
-  | _ -> Alcotest.fail "v2 batch reply did not decode"
 
 let test_lease_cache_hit_and_invalidate () =
   let drive, srv = lease_server () in
@@ -779,24 +751,9 @@ let test_lease_expiry_never_served () =
   (match Cache.check cache with Ok () -> () | Error e -> Alcotest.failf "lease checker: %s" e);
   Netclient.close client
 
-let test_v2_peer_gets_no_leases () =
-  (* A cache-enabled client negotiated down to v2 sees lease-free
-     replies: the cache stays empty and every read crosses the wire. *)
-  let _, srv = lease_server () in
-  let client = cached_client ~advertise_version:2 srv in
-  let oid = create_object (Netclient.handle client) in
-  check Alcotest.int "negotiated v2" 2 (Netclient.version client);
-  for _ = 1 to 3 do
-    ignore (Netclient.handle client cred (Rpc.Read { oid; off = 0; len = 16; at = None }))
-  done;
-  let cache = Option.get (Netclient.cache client) in
-  check Alcotest.int "no hits without leases" 0 (Cache.hits cache);
-  check Alcotest.int "nothing cached without leases" 0 (Cache.length cache);
-  Netclient.close client
-
 let test_no_lease_term_no_cache () =
-  (* lease_ns = 0 (the default): a v3 session that simply grants no
-     leases leaves the cache empty too. *)
+  (* lease_ns = 0 (the default): a server that grants no leases leaves
+     the cache empty. *)
   let drive = mk_drive () in
   let srv = Netserver.of_drive drive in
   let client = cached_client srv in
@@ -965,6 +922,8 @@ let () =
           Alcotest.test_case "garbage answered, audited, connection closed" `Quick
             test_session_garbage_audited;
           Alcotest.test_case "max-inflight enforced" `Quick test_session_max_inflight;
+          Alcotest.test_case "foreign versions and retired kinds refused" `Quick
+            test_foreign_frames_rejected;
           Alcotest.test_case "backend exception becomes Io_error" `Quick
             test_session_backend_exception;
           qtest prop_session_fuzz;
@@ -984,21 +943,14 @@ let () =
           Alcotest.test_case "vectored submit over loopback" `Quick test_loopback_batch_submit;
           Alcotest.test_case "oversized submissions sliced at the limit" `Quick
             test_batch_chunking;
-          Alcotest.test_case "v1 peer falls back to pipelining" `Quick
-            test_v1_negotiation_fallback;
-          Alcotest.test_case "batch frame refused on a v1 session" `Quick
-            test_batch_frame_on_v1_session_rejected;
           Alcotest.test_case "over-limit batch refused" `Quick test_oversized_batch_rejected;
         ] );
       ( "lease",
         [
-          Alcotest.test_case "v2 encoding carries no lease" `Quick
-            test_v2_encoding_carries_no_lease;
           Alcotest.test_case "cache hit, wire silence, invalidation" `Quick
             test_lease_cache_hit_and_invalidate;
           Alcotest.test_case "expired lease never served" `Quick
             test_lease_expiry_never_served;
-          Alcotest.test_case "v2 peer gets no leases" `Quick test_v2_peer_gets_no_leases;
           Alcotest.test_case "zero lease term caches nothing" `Quick
             test_no_lease_term_no_cache;
           Alcotest.test_case "cache never crosses credentials" `Quick
@@ -1010,7 +962,7 @@ let () =
         ] );
       ( "tcp",
         [
-          Alcotest.test_case "rpc + pipelining over sockets" `Quick test_tcp_rpc_and_pipelining;
+          Alcotest.test_case "rpc + pipelining over sockets" `Quick test_tcp_rpc_and_batched_reads;
           Alcotest.test_case "garbage gets protocol error; service continues" `Quick
             test_tcp_garbage_then_service;
           Alcotest.test_case "graceful shutdown refuses new work" `Quick
