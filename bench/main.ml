@@ -21,6 +21,7 @@ module Log = S4_seglog.Log
 module Store = S4_store.Obj_store
 module Cleaner = S4_store.Cleaner
 module Drive = S4.Drive
+module Backend = S4.Backend
 module Rpc = S4.Rpc
 module N = S4_nfs.Nfs_types
 module Nv = S4_baseline.Naive_versioning
@@ -82,13 +83,14 @@ let table1 () =
   let drive = Drive.format disk in
   let alice = Rpc.user_cred ~user:1 ~client:1 in
   let ok = ref 0 in
+  let b = Drive.backend drive in
   let exec cred req =
-    match Drive.handle drive cred req with
+    match Backend.handle b cred req with
     | Rpc.R_error e -> failwith (Format.asprintf "%a" Rpc.pp_error e)
     | _ -> incr ok
   in
   let oid =
-    match Drive.handle drive alice (Rpc.Create { acl = [] }) with
+    match Backend.handle b alice (Rpc.Create { acl = [] }) with
     | Rpc.R_oid o ->
       incr ok;
       o
@@ -695,13 +697,14 @@ let faults () =
            | r -> failwith (Format.asprintf "create: %a" Rpc.pp_resp r))
     in
     let completed = ref 0 and errors = ref 0 in
+    let b = Drive.backend drive in
     for i = 0 to ops - 1 do
       let oid = List.nth oids (i mod 8) in
       let req =
         if i mod 8 = 7 then Rpc.Sync
         else Rpc.Write { oid; off = 4096 * (i mod 64); len = 4096; data = Some payload }
       in
-      match Drive.handle drive cred req with
+      match Backend.handle b cred req with
       | Rpc.R_error _ -> incr errors
       | _ -> incr completed
     done;
@@ -1106,7 +1109,7 @@ let net () =
       ];
     (label, us_per_op, float_of_int ops /. secs)
   in
-  let inproc = run_path "in-process" (Drive.handle (mk_drive ())) in
+  let inproc = run_path "in-process" (Backend.handle (Drive.backend (mk_drive ()))) in
   let loop_row =
     let srv = Netserver.of_drive (mk_drive ()) in
     let client = Netclient.connect (Nettransport.loopback srv) in

@@ -21,6 +21,7 @@ module Simclock = S4_util.Simclock
 module Geometry = S4_disk.Geometry
 module Sim_disk = S4_disk.Sim_disk
 module Drive = S4.Drive
+module Backend = S4.Backend
 module Rpc = S4.Rpc
 module Audit = S4.Audit
 module N = S4_nfs.Nfs_types
@@ -86,7 +87,7 @@ let open_session image user =
   { clock; disk; drive; tr }
 
 let close_session image s =
-  (match Drive.handle s.drive Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
+  (match Backend.handle (Drive.backend s.drive) Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
   Audit.flush (Drive.audit s.drive);
   Log.sync (Drive.log s.drive);
   S4_tools.Disk_image.save_any image s.clock s.disk;
@@ -376,7 +377,7 @@ let cmd_log =
     match target image connect with
     | T_local image ->
       let s = open_session image 0 in
-      print_audit (Drive.handle s.drive Rpc.admin_cred read_audit);
+      print_audit (Backend.handle (Drive.backend s.drive) Rpc.admin_cred read_audit);
       close_session image s
     | T_remote (host, port) ->
       let r = open_remote ~user:0 host port in
@@ -675,7 +676,7 @@ let cmd_verify_log =
       Format.printf "%a@." Chain.pp_result res;
       (* Seal whatever the session itself appended, so the anchor we
          save covers the newest sealed epoch. *)
-      (match Drive.handle s.drive Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
+      (match Backend.handle (Drive.backend s.drive) Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
       let newest = Audit.sealed_head (Drive.audit s.drive) in
       let clean = Chain.clean res in
       close_session image s;

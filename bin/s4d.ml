@@ -11,6 +11,7 @@
 
 module Simclock = S4_util.Simclock
 module Drive = S4.Drive
+module Backend = S4.Backend
 module Rpc = S4.Rpc
 module Audit = S4.Audit
 module Log = S4_seglog.Log
@@ -120,7 +121,7 @@ let run image host port max_frame max_inflight max_batch no_admin max_seconds ds
         exit 1)
       fmt
   in
-  (match Drive.handle drive Rpc.admin_cred Rpc.Sync with
+  (match Backend.handle (Drive.backend drive) Rpc.admin_cred Rpc.Sync with
    | Rpc.R_unit -> ()
    | Rpc.R_error e -> fail "final Sync refused: %s" (Format.asprintf "%a" Rpc.pp_error e)
    | _ -> fail "final Sync returned an unexpected ack"

@@ -27,11 +27,12 @@ let () =
     }
   in
   let drive = Drive.format ~config disk in
+  let s4 = Drive.backend drive in
   let attacker = Rpc.user_cred ~user:66 ~client:666 in
   let honest = Rpc.user_cred ~user:1 ~client:10 in
 
   let mk cred =
-    match Drive.handle drive cred (Rpc.Create { acl = [] }) with
+    match S4.Backend.handle s4 cred (Rpc.Create { acl = [] }) with
     | Rpc.R_oid oid -> oid
     | _ -> failwith "create"
   in
@@ -40,7 +41,7 @@ let () =
 
   let latency cred req =
     let t0 = Simclock.now clock in
-    ignore (Drive.handle drive cred req);
+    ignore (S4.Backend.handle s4 cred req);
     Int64.to_float (Int64.sub (Simclock.now clock) t0) /. 1e6
   in
 
@@ -56,7 +57,7 @@ let () =
   let throttled_at = ref None in
   (try
      for i = 1 to 4000 do
-       (match Drive.handle drive attacker (Rpc.Write { oid = victim; off = 0; len = 8192; data = Some junk }) with
+       (match S4.Backend.handle s4 attacker (Rpc.Write { oid = victim; off = 0; len = 8192; data = Some junk }) with
         | Rpc.R_error Rpc.No_space -> raise Exit
         | _ -> ());
        incr rounds;
@@ -66,7 +67,7 @@ let () =
        | _ -> ()
      done
    with Exit -> ());
-  ignore (Drive.handle drive attacker Rpc.Sync);
+  ignore (S4.Backend.handle s4 attacker Rpc.Sync);
   Printf.printf "  %d overwrites accepted; pool pressure now %.0f%%\n" !rounds (100.0 *. Drive.pool_pressure drive);
   (match !throttled_at with
    | Some i -> Printf.printf "  abuse detected and throttling engaged after %d writes\n" i
@@ -91,7 +92,7 @@ let () =
 
   (* The administrator reacts: shrink the window and flush the junk. *)
   Printf.printf "\nadministrator intervenes: SetWindow + Flush of the attack period\n";
-  ignore (Drive.handle drive Rpc.admin_cred (Rpc.Set_window { window = Simclock.of_seconds 60.0 }));
-  ignore (Drive.handle drive Rpc.admin_cred (Rpc.Flush { until = Simclock.now clock }));
+  ignore (S4.Backend.handle s4 Rpc.admin_cred (Rpc.Set_window { window = Simclock.of_seconds 60.0 }));
+  ignore (S4.Backend.handle s4 Rpc.admin_cred (Rpc.Flush { until = Simclock.now clock }));
   ignore (Drive.run_cleaner drive);
   Printf.printf "  pool pressure after flush: %.0f%%\n" (100.0 *. Drive.pool_pressure drive)

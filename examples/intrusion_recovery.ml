@@ -67,16 +67,16 @@ let () =
 
   (* The intruder tries to destroy the evidence wholesale — and cannot:
      destructive administrative commands need the admin credential. *)
-  (match Drive.handle drive user_cred (Rpc.Flush { until = Int64.max_int }) with
+  (match S4.Backend.handle (Drive.backend drive) user_cred (Rpc.Flush { until = Int64.max_int }) with
    | Rpc.R_error Rpc.Permission_denied -> Printf.printf "intruder's Flush attempt: DENIED (and audited)\n"
    | _ -> failwith "security perimeter breached!");
 
   section "day 3: diagnosis from inside the perimeter";
   Simclock.advance clock (Simclock.of_seconds 3600.0);
-  let report = Diagnosis.damage_report ~client:10 ~since:pre_intrusion ~until:(Simclock.now clock) (Diag_target.of_drive drive) in
+  let report = Diagnosis.damage_report ~client:10 ~since:pre_intrusion ~until:(Simclock.now clock) (Diag_target.Drive drive) in
   Printf.printf "objects touched by the compromised client since the intrusion:\n";
   List.iter (fun a -> Format.printf "  %a@." Diagnosis.pp_activity a) report;
-  let denials = Diagnosis.suspicious_denials ~since:pre_intrusion ~until:(Simclock.now clock) (Diag_target.of_drive drive) in
+  let denials = Diagnosis.suspicious_denials ~since:pre_intrusion ~until:(Simclock.now clock) (Diag_target.Drive drive) in
   Printf.printf "denied (probing) requests: %d\n" (List.length denials);
 
   (* The scrubbed log lines are still in the history pool. (The

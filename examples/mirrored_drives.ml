@@ -26,17 +26,18 @@ let () =
   let geometry = Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(64 * 1024 * 1024) in
   let mk () = Drive.format (Sim_disk.create ~geometry clock) in
   let m = Mirror.create (mk ()) (mk ()) in
+  let call req = (Mirror.submit m alice [| req |]).(0) in
 
   let write oid s =
-    ok (Mirror.handle m alice (Rpc.Write { oid; off = 0; len = String.length s; data = Some (Bytes.of_string s) }))
+    ok (call (Rpc.Write { oid; off = 0; len = String.length s; data = Some (Bytes.of_string s) }))
   in
   let read ?at oid =
-    match Mirror.handle m alice (Rpc.Read { oid; off = 0; len = 4096; at }) with
+    match call (Rpc.Read { oid; off = 0; len = 4096; at }) with
     | Rpc.R_data b -> Bytes.to_string b
     | r -> Format.kasprintf failwith "read: %a" Rpc.pp_resp r
   in
 
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (call (Rpc.Create { acl = [] })) in
   write oid "generation one";
   let t1 = Simclock.now clock in
   Simclock.advance clock (Simclock.of_seconds 60.0);
@@ -62,6 +63,9 @@ let () =
    | Error e -> failwith e);
   Printf.printf "replicas agree again: %b\n" (Mirror.divergence m = []);
   Printf.printf "history survives on both replicas: %S\n"
-    (match Drive.handle (Mirror.drive m Mirror.Primary) Rpc.admin_cred (Rpc.Read { oid; off = 0; len = 64; at = Some t1 }) with
+    (match
+       S4.Backend.handle (Drive.backend (Mirror.drive m Mirror.Primary)) Rpc.admin_cred
+         (Rpc.Read { oid; off = 0; len = 64; at = Some t1 })
+     with
      | Rpc.R_data b -> Bytes.to_string b
      | r -> Format.asprintf "%a" Rpc.pp_resp r)

@@ -7,6 +7,7 @@ module Simclock = S4_util.Simclock
 module Geometry = S4_disk.Geometry
 module Sim_disk = S4_disk.Sim_disk
 module Drive = S4.Drive
+module Backend = S4.Backend
 module Rpc = S4.Rpc
 
 let ( => ) what resp =
@@ -22,18 +23,19 @@ let () =
     Sim_disk.create ~geometry:(Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(64 * 1024 * 1024)) clock
   in
   let drive = Drive.format disk in
+  let s4 = Drive.backend drive in
   let alice = Rpc.user_cred ~user:1 ~client:1 in
 
   (* Create an object and write to it. *)
   let oid =
-    match "create" => Drive.handle drive alice (Rpc.Create { acl = [] }) with
+    match "create" => Backend.handle s4 alice (Rpc.Create { acl = [] }) with
     | Rpc.R_oid oid -> oid
     | _ -> assert false
   in
   let write s =
     ignore
       ("write"
-      => Drive.handle drive alice ~sync:true
+      => Backend.handle s4 alice ~sync:true
            (Rpc.Write { oid; off = 0; len = String.length s; data = Some (Bytes.of_string s) }))
   in
   write "The first version of my file.";
@@ -46,7 +48,7 @@ let () =
   write "Version two CLOBBERS the file.";
 
   let read ?at () =
-    match "read" => Drive.handle drive alice (Rpc.Read { oid; off = 0; len = 64; at }) with
+    match "read" => Backend.handle s4 alice (Rpc.Read { oid; off = 0; len = 64; at }) with
     | Rpc.R_data b -> Bytes.to_string b
     | _ -> assert false
   in
@@ -56,12 +58,12 @@ let () =
   (* Restore by copying the old version forward (a new version again:
      nothing is ever rolled back destructively). *)
   let old = read ~at:t_first () in
-  ignore ("truncate" => Drive.handle drive alice (Rpc.Truncate { oid; size = 0 }));
+  ignore ("truncate" => Backend.handle s4 alice (Rpc.Truncate { oid; size = 0 }));
   write old;
   Printf.printf "after restore    : %S\n" (read ());
 
   (* The whole story is in the audit log. *)
-  (match "audit" => Drive.handle drive Rpc.admin_cred (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
+  (match "audit" => Backend.handle s4 Rpc.admin_cred (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
    | Rpc.R_audit records ->
      Printf.printf "\naudit log (%d records):\n" (List.length records);
      List.iter

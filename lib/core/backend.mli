@@ -4,10 +4,7 @@
     mirrored pair behind a shard router, the sharded array itself, the
     wire-protocol client, the modelled-network client stub — exposes
     this single record, and every consumer (NFS translator, s4cli,
-    crashtest, the benches) speaks it. It replaces the translator's
-    private [backend] record and the half-dozen near-duplicate
-    [Drive.handle]-shaped closures that used to be rebuilt at each
-    layer boundary.
+    crashtest, the benches) speaks it.
 
     The surface is {e vectored}: {!submit} takes an array of requests
     and returns the positionally matching array of responses. Requests
@@ -18,8 +15,9 @@
     its [R_error] in its slot and the rest of the batch still runs.
     If the end-of-batch barrier itself fails, every response that
     reported success is rewritten to the barrier's [Io_error] — the
-    caller must not believe un-persisted mutations are stable, exactly
-    as with single-request [sync].
+    caller must not believe un-persisted mutations are stable. The
+    drive, the mirror and the shard router all end their [submit]
+    with {!group_commit}, the one implementation of that rule.
 
     {2 Threading model}
 
@@ -74,9 +72,17 @@ type t = {
 }
 
 val handle : t -> Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp
-(** Single-request compatibility shim: [submit] of a one-element
-    batch. [handle b cred ~sync req] is bit-for-bit equivalent to the
-    old per-layer [handle] functions. *)
+(** [submit] of a one-element batch: the one-request call for any
+    producer. *)
+
+val group_commit :
+  sync:bool -> barrier:(unit -> Rpc.error option) -> Rpc.resp array -> Rpc.resp array
+(** The end-of-batch durability rule, given the batch's responses.
+    When [sync] and the batch is empty or has at least one successful
+    slot, pay [barrier] exactly once; if it fails, rewrite every
+    successful slot to the barrier's error (failed slots keep their
+    own). Otherwise return the responses untouched without a barrier —
+    an all-failed batch mutated nothing worth persisting. *)
 
 val make :
   clock:S4_util.Simclock.t ->

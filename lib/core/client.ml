@@ -3,20 +3,7 @@ module Net = S4_disk.Net
 type t = { net : Net.t; drive : Drive.t; mutable rpcs : int }
 
 let connect net drive = { net; drive; rpcs = 0 }
-let net t = t.net
-let drive t = t.drive
 let rpc_count t = t.rpcs
-
-let call t cred ?(sync = false) req =
-  t.rpcs <- t.rpcs + 1;
-  let resp = Drive.handle t.drive cred ~sync req in
-  Net.rpc t.net ~req_bytes:(Rpc.req_wire_bytes req) ~resp_bytes:(Rpc.resp_wire_bytes resp);
-  resp
-
-let call_exn t cred ?sync req =
-  match call t cred ?sync req with
-  | Rpc.R_error e -> failwith (Format.asprintf "S4 RPC %s failed: %a" (Rpc.op_name req) Rpc.pp_error e)
-  | resp -> resp
 
 let submit t cred ?(sync = false) reqs =
   (* One batched submission crosses the network as one exchange, but

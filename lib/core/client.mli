@@ -1,24 +1,15 @@
 (** Client-side RPC stub.
 
     Connects a client machine to a network-attached S4 drive
-    (Figure 1a): each call pays the modelled network round trip for its
-    request and response sizes, then executes inside the drive's
+    (Figure 1a): each request pays the modelled network round trip for
+    its request and response sizes, then executes inside the drive's
     security perimeter. For the combined-server configuration
-    (Figure 1b), bypass this module and call {!Drive.handle}
+    (Figure 1b), bypass this module and use {!Drive.backend}
     directly. *)
 
 type t
 
 val connect : S4_disk.Net.t -> Drive.t -> t
-val net : t -> S4_disk.Net.t
-val drive : t -> Drive.t
-
-val call : t -> Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp
-(** One RPC: request transfer, drive processing, response transfer. *)
-
-val call_exn : t -> Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp
-(** Like {!call} but raises [Failure] on an [R_error] response; for
-    tests and examples where errors are unexpected. *)
 
 val submit : t -> Rpc.credential -> ?sync:bool -> Rpc.req array -> Rpc.resp array
 (** Batched submission: one network exchange carrying the whole batch

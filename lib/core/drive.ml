@@ -438,9 +438,9 @@ let handle_inner t (cred : Rpc.credential) req =
   resp
 
 let barrier t =
-  (* The durability barrier, shared by single-request [sync] and batch
-     group commit: audit records buffered so far must survive a crash
-     once the barrier returns (the audit-at-Sync invariant), then the
+  (* The durability barrier that ends a synced batch (group commit):
+     audit records buffered so far must survive a crash once the
+     barrier returns (the audit-at-Sync invariant), then the
      store itself is made stable. A media fault here means the caller
      must not be told its mutations are durable. *)
   let io_failed lba transient kind =
@@ -503,27 +503,12 @@ let handle_one t (cred : Rpc.credential) req =
       raise e
   end
 
-let resp_ok = function Rpc.R_error _ -> false | _ -> true
-
 let submit t (cred : Rpc.credential) ?(sync = false) reqs =
-  (* The vectored entry point: every request runs with full
-     per-request semantics (throttle, ACL, audit record, trace span),
-     in array order; the durability barrier is paid once, after the
-     last request (group commit). An empty batch with [sync] is a pure
-     barrier. If the barrier fails, every response that claimed
-     success is rewritten: un-persisted mutations must not be reported
-     stable — the positional generalisation of the single-request
-     sync-failure rule. *)
-  let resps = Array.map (fun req -> handle_one t cred req) reqs in
-  if sync && (Array.length reqs = 0 || Array.exists resp_ok resps) then
-    match barrier t with
-    | None -> resps
-    | Some err ->
-      Array.map (fun r -> if resp_ok r then Rpc.R_error err else r) resps
-  else resps
-
-let handle t (cred : Rpc.credential) ?(sync = false) req =
-  (submit t cred ~sync [| req |]).(0)
+  (* Every request runs with full per-request semantics (throttle,
+     ACL, audit record, trace span), in array order; the durability
+     barrier is paid once, after the last request (group commit). *)
+  Backend.group_commit ~sync ~barrier:(fun () -> barrier t)
+    (Array.map (fun req -> handle_one t cred req) reqs)
 
 let capacity t =
   let log = t.log in

@@ -55,19 +55,14 @@ val submit : t -> Rpc.credential -> ?sync:bool -> Rpc.req array -> Rpc.resp arra
 (** Process a batch of RPCs inside the perimeter. Each request gets
     full per-request treatment — throttle check, permission check,
     execution, audit record, trace span — in array order; response
-    [i] answers request [i]. [?sync] is the drive's op+sync batching
-    generalised to group commit: ONE log flush + sync barrier after
-    the last request makes the whole batch (and its audit records)
-    durable at once. An empty batch with [sync:true] is a pure
-    barrier. If the end-of-batch barrier fails, every response that
-    claimed success is rewritten to the barrier's [Io_error]. Media
+    [i] answers request [i]. When [sync], ONE {!barrier} after the
+    last request makes the whole batch and its audit records durable
+    ({!Backend.group_commit}: an empty batch is a pure barrier, a
+    failed barrier turns every success into its [Io_error]). Media
     faults surface as [R_error Io_error] after the configured retries;
     the only exception that escapes is {!S4_disk.Fault.Crashed} — a
     crashed device has no valid in-memory state, the owner must
     {!attach} a fresh drive. *)
-
-val handle : t -> Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp
-(** [submit] of a one-element batch (compatibility shim). *)
 
 val barrier : t -> Rpc.error option
 (** The durability barrier on its own: flush buffered audit records,

@@ -1,6 +1,7 @@
 module Rpc = S4.Rpc
 module Audit = S4.Audit
 module Drive = S4.Drive
+module Backend = S4.Backend
 module Store = S4_store.Obj_store
 module Sim_disk = S4_disk.Sim_disk
 module Log = S4_seglog.Log
@@ -11,12 +12,16 @@ type read_policy = Primary_only | Balanced
 type t = {
   primary : Drive.t;
   secondary : Drive.t;
+  (* The replicas' request surfaces. Each request reaches a replica
+     unsynced; durability is the mirror's own end-of-batch barrier. *)
+  primary_b : Backend.t;
+  secondary_b : Backend.t;
   mutable primary_failed : bool;
   mutable secondary_failed : bool;
   (* Newest first. The [int64 option] is the oid the live replica
      resolved for a [Create]: replay must target that oid, not mint a
      fresh one from whatever allocator the target runs. *)
-  mutable missed : (Rpc.credential * bool * Rpc.req * int64 option) list;
+  mutable missed : (Rpc.credential * Rpc.req * int64 option) list;
   mutable lagging : replica option;  (* who the missed mutations are for *)
   mutable read_policy : read_policy;
   mutable rr_next : replica;  (* next balanced read goes here *)
@@ -37,6 +42,8 @@ let create primary secondary =
   {
     primary;
     secondary;
+    primary_b = Drive.backend primary;
+    secondary_b = Drive.backend secondary;
     primary_failed = false;
     secondary_failed = false;
     missed = [];
@@ -51,6 +58,7 @@ let create primary secondary =
   }
 
 let drive t = function Primary -> t.primary | Secondary -> t.secondary
+let backend t = function Primary -> t.primary_b | Secondary -> t.secondary_b
 let is_failed t = function Primary -> t.primary_failed | Secondary -> t.secondary_failed
 let lagging t = t.lagging
 
@@ -94,7 +102,7 @@ let refresh_missed_index t =
   Hashtbl.reset t.missed_oids;
   t.missed_namespace <- false;
   t.missed_global <- false;
-  List.iter (fun (_, _, req, resolved) -> index_missed_req t req resolved) t.missed
+  List.iter (fun (_, req, resolved) -> index_missed_req t req resolved) t.missed
 
 (* Reads eligible for replica balancing. Audit-trail reads are not:
    each replica audits only the reads it served, so [Read_audit] and
@@ -116,8 +124,6 @@ let read_is_stale t req =
   | Rpc.Get_acl_by_index { oid; _ } -> Hashtbl.mem t.missed_oids oid
   | Rpc.P_list _ | Rpc.P_mount _ -> t.missed_namespace
   | _ -> true
-
-let is_mutation = Rpc.is_mutation
 
 (* A replica answering [Io_error] has hit a permanent media fault the
    drive's own retry could not absorb: treat it as failed. *)
@@ -142,10 +148,10 @@ let served_read_ops =
    (both logs are chronological; so is the merge). The peer is
    consulted directly — a forensic sweep of its log is not a balanced
    data read and does not move the read counters. *)
-let merge_read_audit t cred sync req ~target resp =
+let merge_read_audit t cred req ~target resp =
   match (req, resp) with
   | Rpc.Read_audit _, Rpc.R_audit auth_recs when not (is_failed t (other target)) -> (
-    match Drive.handle (drive t (other target)) cred ~sync req with
+    match Backend.handle (backend t (other target)) cred req with
     | Rpc.R_audit peer_recs ->
       let extra =
         List.filter (fun r -> List.mem r.Audit.op served_read_ops) peer_recs
@@ -157,46 +163,49 @@ let merge_read_audit t cred sync req ~target resp =
 
 (* Journal a mutation the [lagger] missed, keyed to the oid the live
    replica resolved (so a missed [Create] replays onto the same id). *)
-let journal t lagger cred sync req resp =
+let journal t lagger cred req resp =
   let oid = match resp with Rpc.R_oid g -> Some g | _ -> None in
   t.lagging <- Some lagger;
-  t.missed <- (cred, sync, req, oid) :: t.missed;
+  t.missed <- (cred, req, oid) :: t.missed;
   index_missed_req t req oid
 
-let handle t cred ?(sync = false) req =
-  if is_mutation req then begin
+(* The per-request step: replicate a mutation to every live replica
+   (failing a replica over on a media fault or divergence), serve a
+   read per the read policy. *)
+let step t cred req =
+  if Rpc.is_mutation req then begin
     match (t.primary_failed, t.secondary_failed) with
     | true, true -> Rpc.R_error (Rpc.Bad_request "mirror: no live replica")
     | false, false ->
-      let r1 = Drive.handle t.primary cred ~sync req in
-      let r2 = Drive.handle t.secondary cred ~sync req in
+      let r1 = Backend.handle t.primary_b cred req in
+      let r2 = Backend.handle t.secondary_b cred req in
       if agree r1 r2 then r1
       else if is_io_error r1 && not (is_io_error r2) then begin
         (* Primary media fault: fail it over and keep serving from the
            secondary, journalling the op the primary just missed. *)
         t.primary_failed <- true;
-        journal t Primary cred sync req r2;
+        journal t Primary cred req r2;
         r2
       end
       else if is_io_error r2 && not (is_io_error r1) then begin
         t.secondary_failed <- true;
-        journal t Secondary cred sync req r1;
+        journal t Secondary cred req r1;
         r1
       end
       else begin
         (* Split brain: drop the secondary and flag the request. The
            primary applied the op, so its response keys the journal. *)
         t.secondary_failed <- true;
-        journal t Secondary cred sync req r1;
+        journal t Secondary cred req r1;
         Rpc.R_error (Rpc.Bad_request "mirror: replica divergence detected")
       end
     | false, true ->
-      let r = Drive.handle t.primary cred ~sync req in
-      journal t Secondary cred sync req r;
+      let r = Backend.handle t.primary_b cred req in
+      journal t Secondary cred req r;
       r
     | true, false ->
-      let r = Drive.handle t.secondary cred ~sync req in
-      journal t Primary cred sync req r;
+      let r = Backend.handle t.secondary_b cred req in
+      journal t Primary cred req r;
       r
   end
   else begin
@@ -204,7 +213,7 @@ let handle t cred ?(sync = false) req =
       (match r with
        | Primary -> t.primary_reads <- t.primary_reads + 1
        | Secondary -> t.secondary_reads <- t.secondary_reads + 1);
-      Drive.handle (drive t r) cred ~sync req
+      Backend.handle (backend t r) cred req
     in
     (* A lone live replica that happens to be the lagging one (repair
        without resync, then the peer died) must not silently answer a
@@ -243,7 +252,7 @@ let handle t cred ?(sync = false) req =
         if t.lagging = Some survivor && t.missed <> [] && read_is_stale t req then resp
         else serve survivor
       end
-      else merge_read_audit t cred sync req ~target resp
+      else merge_read_audit t cred req ~target resp
     | false, true -> serve_sole Primary
     | true, false -> serve_sole Secondary
     | true, true -> Rpc.R_error (Rpc.Bad_request "mirror: no live replica")
@@ -274,16 +283,9 @@ let barrier t =
       None
     | Some e, Some _ -> Some e)
 
-let resp_ok = function Rpc.R_error _ -> false | _ -> true
-
 let submit t cred ?(sync = false) reqs =
-  let resps = Array.map (fun req -> handle t cred ~sync:false req) reqs in
-  if sync && (Array.length reqs = 0 || Array.exists resp_ok resps) then
-    match barrier t with
-    | None -> resps
-    | Some err ->
-      Array.map (fun r -> if resp_ok r then Rpc.R_error err else r) resps
-  else resps
+  Backend.group_commit ~sync ~barrier:(fun () -> barrier t)
+    (Array.map (fun req -> step t cred req) reqs)
 
 let resync t =
   if t.primary_failed && t.secondary_failed then Error "mirror: no live replica to resync from"
@@ -293,7 +295,7 @@ let resync t =
     | Some r when is_failed t r ->
       Error "mirror resync: repair the failed replica first (set_failed _ false)"
     | Some r ->
-      let target = drive t r in
+      let target = drive t r and target_b = backend t r in
       let replay = List.rev t.missed in
       let rec go n = function
         | [] ->
@@ -301,8 +303,8 @@ let resync t =
           t.lagging <- None;
           refresh_missed_index t;
           Ok n
-        | (cred, sync, req, oid) :: rest as remaining ->
-          let run () = Drive.handle target cred ~sync req in
+        | (cred, req, oid) :: rest as remaining ->
+          let run () = Backend.handle target_b cred req in
           let resp =
             match (req, oid) with
             | Rpc.Create _, Some g ->

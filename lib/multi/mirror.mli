@@ -56,18 +56,14 @@ val read_counts : t -> int * int
 (** Reads served by (primary, secondary) since creation — how balanced
     the balancing actually is. *)
 
-val handle : t -> S4.Rpc.credential -> ?sync:bool -> S4.Rpc.req -> S4.Rpc.resp
-(** Mutations are applied to every live replica (responses must agree
-    — a mismatch is reported as a [Bad_request] error and the
-    secondary is dropped as failed); reads are served per the
-    {!read_policy} (default: the first live replica). *)
-
 val submit :
   t -> S4.Rpc.credential -> ?sync:bool -> S4.Rpc.req array -> S4.Rpc.resp array
-(** Batched {!handle}: requests run in order (unsynced), then one
-    {!barrier} makes the whole batch durable when [sync]. If the
-    barrier fails on every live replica, successful responses are
-    rewritten to the barrier's error. *)
+(** Run a batch in order. Mutations are applied to every live replica
+    (responses must agree — a mismatch is reported as a [Bad_request]
+    error and the secondary is dropped as failed); reads are served
+    per the {!read_policy} (default: the first live replica). Replicas
+    run each request unsynced; when [sync], one {!barrier} then makes
+    the whole batch durable ({!S4.Backend.group_commit}). *)
 
 val barrier : t -> S4.Rpc.error option
 (** Durability barrier on every live replica. A replica whose barrier

@@ -54,7 +54,7 @@ val submit :
 
 val handle : t -> S4.Rpc.credential -> ?sync:bool -> S4.Rpc.req -> S4.Rpc.resp
 (** [(submit t cred ~sync [| req |]).(0)] — the same shape as
-    [Drive.handle]. *)
+    [S4.Backend.handle]. *)
 
 val backend : clock:S4_util.Simclock.t -> keep_data:bool -> t -> S4.Backend.t
 (** This connection as the uniform {!S4.Backend.t} surface. [clock]

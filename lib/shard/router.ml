@@ -225,12 +225,15 @@ let charge t involved f =
 
 let is_io_error = function Rpc.R_error (Rpc.Io_error _) -> true | _ -> false
 
-let dispatch _t sh cred ~sync req =
+(* Members always run unsynced: durability comes only from {!barrier},
+   which pins every member's head into the integrity catalog before
+   sealing it. *)
+let dispatch sh cred req =
   sh.sh_ops <- sh.sh_ops + 1;
   let resp =
-    match sh.sh_member with
-    | Single d -> Drive.handle d cred ~sync req
-    | Mirrored m -> Mirror.handle m cred ~sync req
+    (match sh.sh_member with
+     | Single d -> Drive.submit d cred [| req |]
+     | Mirrored m -> Mirror.submit m cred [| req |]).(0)
   in
   if is_io_error resp then begin
     (* A mirrored shard only surfaces Io_error once failover inside the
@@ -249,13 +252,13 @@ let holder t oid =
 
 let shard_of = holder
 
-let route_to_holder t oid cred ~sync req =
+let route_to_holder t oid cred req =
   let sh = shard t (holder t oid) in
-  charge t [ sh ] (fun () -> dispatch t sh cred ~sync req)
+  charge t [ sh ] (fun () -> dispatch sh cred req)
 
-let fanout t cred ~sync req ~merge =
+let fanout t cred req ~merge =
   let all = shards t in
-  charge t all (fun () -> merge (List.map (fun sh -> (sh, dispatch t sh cred ~sync req)) all))
+  charge t all (fun () -> merge (List.map (fun sh -> (sh, dispatch sh cred req)) all))
 
 let merge_units resps =
   match List.find_opt (fun (_, r) -> r <> Rpc.R_unit) resps with
@@ -524,7 +527,8 @@ let verify_all t cred ~from =
     charge t (shards t)
       (fun () ->
         List.map
-          (fun (sid, ri, d) -> (sid, ri, Drive.handle d cred (Rpc.Verify_log { from })))
+          (fun (sid, ri, d) ->
+            (sid, ri, (Drive.submit d cred [| Rpc.Verify_log { from } |]).(0)))
           entries)
   in
   match List.find_opt (fun (_, _, r) -> match r with Rpc.R_verify _ -> false | _ -> true) results with
@@ -568,7 +572,36 @@ let create ?vnodes members =
   catalog_init t;
   t
 
-let handle_inner t cred ~sync req =
+(* Requests routed purely by oid, mutations included: the whole
+   per-request effect (store mutation, audit record, degraded marks,
+   time charge) is confined to the holder shard, so a run of them may
+   be partitioned by holder and executed on per-shard worker domains.
+   Everything else (Create's oid allocation, partition ops, fan-outs)
+   consults or mutates router-global state and stays on the
+   dispatching domain. *)
+let routed_oid = function
+  | Rpc.Delete { oid }
+  | Rpc.Read { oid; _ }
+  | Rpc.Write { oid; _ }
+  | Rpc.Append { oid; _ }
+  | Rpc.Truncate { oid; _ }
+  | Rpc.Get_attr { oid; _ }
+  | Rpc.Set_attr { oid; _ }
+  | Rpc.Get_acl_by_user { oid; _ }
+  | Rpc.Get_acl_by_index { oid; _ }
+  | Rpc.Set_acl { oid; _ }
+  | Rpc.Flush_object { oid; _ } -> Some oid
+  | _ -> None
+
+(* Reads routed purely by oid: no global state consulted, no state
+   mutated, so a run of them may execute back-to-back and be charged
+   as concurrent work across the distinct shards (and mirror replicas)
+   they land on. *)
+let routable_read = function
+  | Rpc.Read _ | Rpc.Get_attr _ | Rpc.Get_acl_by_user _ | Rpc.Get_acl_by_index _ -> true
+  | _ -> false
+
+let handle_inner t cred req =
   t.ops <- t.ops + 1;
   match req with
   | Rpc.Create _ ->
@@ -578,7 +611,7 @@ let handle_inner t cred ~sync req =
     let resp =
       Fun.protect
         ~finally:(fun () -> t.pending_oid <- None)
-        (fun () -> charge t [ sh ] (fun () -> dispatch t sh cred ~sync req))
+        (fun () -> charge t [ sh ] (fun () -> dispatch sh cred req))
     in
     (match resp with
      | Rpc.R_oid oid when Int64.equal oid g -> t.next_oid <- Int64.add g 1L
@@ -590,10 +623,10 @@ let handle_inner t cred ~sync req =
   | Rpc.P_create { name; _ } | Rpc.P_delete { name } ->
     Hashtbl.remove t.pmount_cache name;
     let sh = shard t t.meta in
-    charge t [ sh ] (fun () -> dispatch t sh cred ~sync req)
+    charge t [ sh ] (fun () -> dispatch sh cred req)
   | Rpc.P_list _ -> (
     let sh = shard t t.meta in
-    match charge t [ sh ] (fun () -> dispatch t sh cred ~sync req) with
+    match charge t [ sh ] (fun () -> dispatch sh cred req) with
     | Rpc.R_names ns ->
       (* The catalog's reserved name is array-private. *)
       Rpc.R_names (List.filter (fun n -> not (String.equal n catalog_name)) ns)
@@ -603,7 +636,7 @@ let handle_inner t cred ~sync req =
     | Some oid -> Rpc.R_oid oid
     | None ->
       let sh = shard t t.meta in
-      let resp = charge t [ sh ] (fun () -> dispatch t sh cred ~sync req) in
+      let resp = charge t [ sh ] (fun () -> dispatch sh cred req) in
       (match resp with
        | Rpc.R_oid oid -> Hashtbl.replace t.pmount_cache name oid
        | _ -> ());
@@ -611,7 +644,7 @@ let handle_inner t cred ~sync req =
   | Rpc.P_mount _ ->
     (* Time-based mounts see the meta shard's history; never cached. *)
     let sh = shard t t.meta in
-    charge t [ sh ] (fun () -> dispatch t sh cred ~sync req)
+    charge t [ sh ] (fun () -> dispatch sh cred req)
   | Rpc.Sync ->
     (* The admin-path durability barrier: pin every member's head into
        the catalog first, then fan the Sync out — each member's seal
@@ -621,47 +654,29 @@ let handle_inner t cred ~sync req =
     charge t all
       (fun () ->
         update_catalog t;
-        merge_units (List.map (fun sh -> (sh, dispatch t sh cred ~sync req)) all))
-  | Rpc.Flush _ | Rpc.Set_window _ -> fanout t cred ~sync req ~merge:merge_units
-  | Rpc.Read_audit _ -> fanout t cred ~sync req ~merge:merge_audit
+        merge_units (List.map (fun sh -> (sh, dispatch sh cred req)) all))
+  | Rpc.Flush _ | Rpc.Set_window _ -> fanout t cred req ~merge:merge_units
+  | Rpc.Read_audit _ -> fanout t cred req ~merge:merge_audit
   | Rpc.Verify_log { from } -> verify_all t cred ~from
-  | Rpc.Delete { oid }
-  | Rpc.Read { oid; _ }
-  | Rpc.Write { oid; _ }
-  | Rpc.Append { oid; _ }
-  | Rpc.Truncate { oid; _ }
-  | Rpc.Get_attr { oid; _ }
-  | Rpc.Set_attr { oid; _ }
-  | Rpc.Get_acl_by_user { oid; _ }
-  | Rpc.Get_acl_by_index { oid; _ }
-  | Rpc.Set_acl { oid; _ }
-  | Rpc.Flush_object { oid; _ } ->
-    route_to_holder t oid cred ~sync req
+  | _ ->
+    (* Every remaining request names its object. *)
+    route_to_holder t (Option.get (routed_oid req)) cred req
 
-let handle t cred ?(sync = false) req =
-  if not (Trace.on ()) then handle_inner t cred ~sync req
+(* The traced per-request step, run only from {!submit}. *)
+let handle t cred req =
+  if not (Trace.on ()) then handle_inner t cred req
   else begin
     let tok = Trace.enter Trace.Router ~kind:(Rpc.op_name req) ~now:(Simclock.now t.clock) in
-    (match req with
-     | Rpc.Delete { oid }
-     | Rpc.Read { oid; _ }
-     | Rpc.Write { oid; _ }
-     | Rpc.Append { oid; _ }
-     | Rpc.Truncate { oid; _ }
-     | Rpc.Get_attr { oid; _ }
-     | Rpc.Set_attr { oid; _ }
-     | Rpc.Get_acl_by_user { oid; _ }
-     | Rpc.Get_acl_by_index { oid; _ }
-     | Rpc.Set_acl { oid; _ }
-     | Rpc.Flush_object { oid; _ } ->
+    (match (routed_oid req, req) with
+     | Some oid, _ ->
        Trace.set_oid tok oid;
        Trace.set_shard tok (holder t oid)
-     | Rpc.P_create _ | Rpc.P_delete _ | Rpc.P_list _ | Rpc.P_mount _ ->
+     | None, (Rpc.P_create _ | Rpc.P_delete _ | Rpc.P_list _ | Rpc.P_mount _) ->
        Trace.set_shard tok t.meta
-     | _ -> ());
+     | None, _ -> ());
     let saved = t.trace_tok in
     t.trace_tok <- tok;
-    match handle_inner t cred ~sync req with
+    match handle_inner t cred req with
     | resp ->
       t.trace_tok <- saved;
       (match resp with
@@ -737,44 +752,6 @@ let members = drive_entries
 
 let store_of t oid = shard_store (shard t (holder t oid))
 
-let resp_ok = function Rpc.R_error _ -> false | _ -> true
-
-(* Reads routed purely by oid: no global state consulted, no state
-   mutated, so a run of them may execute back-to-back and be charged
-   as concurrent work across the distinct shards (and mirror replicas)
-   they land on. *)
-let routable_read = function
-  | Rpc.Read _ | Rpc.Get_attr _ | Rpc.Get_acl_by_user _ | Rpc.Get_acl_by_index _ -> true
-  | _ -> false
-
-let read_oid = function
-  | Rpc.Read { oid; _ }
-  | Rpc.Get_attr { oid; _ }
-  | Rpc.Get_acl_by_user { oid; _ }
-  | Rpc.Get_acl_by_index { oid; _ } -> oid
-  | _ -> invalid_arg "Router.read_oid: not a routable read"
-
-(* Requests routed purely by oid, mutations included: the whole
-   per-request effect (store mutation, audit record, degraded marks,
-   time charge) is confined to the holder shard, so a run of them may
-   be partitioned by holder and executed on per-shard worker domains.
-   Everything else (Create's oid allocation, partition ops, fan-outs)
-   consults or mutates router-global state and stays on the
-   dispatching domain. *)
-let routed_oid = function
-  | Rpc.Delete { oid }
-  | Rpc.Read { oid; _ }
-  | Rpc.Write { oid; _ }
-  | Rpc.Append { oid; _ }
-  | Rpc.Truncate { oid; _ }
-  | Rpc.Get_attr { oid; _ }
-  | Rpc.Set_attr { oid; _ }
-  | Rpc.Get_acl_by_user { oid; _ }
-  | Rpc.Get_acl_by_index { oid; _ }
-  | Rpc.Set_acl { oid; _ }
-  | Rpc.Flush_object { oid; _ } -> Some oid
-  | _ -> None
-
 (* Execute the maximal run of oid-routed requests starting at [i] on
    the worker pool, one sub-batch per holder shard. Returns how many
    requests were consumed (0 when the run is too small or lands on a
@@ -825,7 +802,7 @@ let parallel_run t pool cred reqs resps i =
                        (fun k ->
                          resps.(k) <-
                            charge t [ sh ] (fun () ->
-                               dispatch t sh cred ~sync:false reqs.(k)))
+                               dispatch sh cred reqs.(k)))
                        idxs) ))
            jobs);
       let worst = Array.fold_left (fun acc e -> if Int64.compare e acc > 0 then e else acc) 0L elapsed in
@@ -875,31 +852,24 @@ let submit t cred ?(sync = false) reqs =
     if overlap then while !j < n && routable_read reqs.(!j) do incr j done;
     if !j - !i >= 2 then begin
       let idxs = List.init (!j - !i) (fun k -> !i + k) in
-      let involved =
-        List.sort_uniq compare (List.map (fun k -> holder t (read_oid reqs.(k))) idxs)
-        |> List.map (shard t)
-      in
+      let holder_of k = holder t (Option.get (routed_oid reqs.(k))) in
+      let involved = List.sort_uniq compare (List.map holder_of idxs) |> List.map (shard t) in
       charge t involved (fun () ->
           List.iter
             (fun k ->
               t.ops <- t.ops + 1;
-              let sh = shard t (holder t (read_oid reqs.(k))) in
-              resps.(k) <- dispatch t sh cred ~sync:false reqs.(k))
+              let sh = shard t (holder_of k) in
+              resps.(k) <- dispatch sh cred reqs.(k))
             idxs);
       i := !j
     end
     else begin
-      resps.(!i) <- handle t cred ~sync:false reqs.(!i);
+      resps.(!i) <- handle t cred reqs.(!i);
       incr i
     end
     end
   done;
-  if sync && (n = 0 || Array.exists resp_ok resps) then
-    match barrier t with
-    | None -> resps
-    | Some err ->
-      Array.map (fun r -> if resp_ok r then Rpc.R_error err else r) resps
-  else resps
+  S4.Backend.group_commit ~sync ~barrier:(fun () -> barrier t) resps
 
 (* ------------------------------------------------------------------ *)
 (* Degraded-mode reporting                                             *)
@@ -928,7 +898,7 @@ let run_cleaners t =
   set_all_phantom t
 
 let sync_all t =
-  ignore (handle t Rpc.admin_cred Rpc.Sync)
+  ignore (submit t Rpc.admin_cred [| Rpc.Sync |])
 
 (* ------------------------------------------------------------------ *)
 (* Online rebalancing                                                  *)

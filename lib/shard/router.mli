@@ -1,10 +1,11 @@
 (** Sharded S4 array: N self-securing drives behind one drive-shaped
     request surface.
 
-    The router exposes exactly {!S4.Drive.handle}'s contract
-    (credential + request → response), so clients, the NFS translator
-    and every workload generator run over the array unchanged.
-    Placement is consistent hashing over oids ({!Ring}); the partition
+    The router exposes exactly {!S4.Drive.submit}'s contract
+    (credential + request batch → response batch, one barrier per
+    synced batch), so clients, the NFS translator and every workload
+    generator run over the array unchanged ({!backend}). Placement
+    is consistent hashing over oids ({!Ring}); the partition
     (named-object) table lives on a designated {e meta shard} with
     cached [PMount] lookups; administrative commands and audit reads
     fan out to every shard and merge. All member drives share one
@@ -39,19 +40,17 @@ val attach : ?vnodes:int -> (int * member) list -> t
     double-held objects (longer history wins, ring owner breaks ties),
     re-queues interrupted migrations with read-forwarding. *)
 
-val handle : t -> S4.Rpc.credential -> ?sync:bool -> S4.Rpc.req -> S4.Rpc.resp
-(** Route one request: per-object ops to the holding shard, partition
-    ops to the meta shard, [Sync]/[Flush]/[SetWindow]/[ReadAudit]
-    fan-out-and-merge. *)
-
 val submit :
   t -> S4.Rpc.credential -> ?sync:bool -> S4.Rpc.req array -> S4.Rpc.resp array
-(** Batched {!handle} with group commit: requests execute in arrival
-    order through the normal per-request routing (so a batched run is
-    bit-identical to an unsynced sequential one), then — when [sync]
-    — ONE durability {!barrier} fans out across every member, charged
-    as parallel work (slowest member). If the barrier fails,
-    successful responses are rewritten to its error. With
+(** Route a batch with group commit. Requests execute in arrival
+    order, each routed on its own: per-object ops to the holding
+    shard, partition ops to the meta shard, [Sync]/[Flush]/
+    [SetWindow]/[ReadAudit] fan-out-and-merge. Members always run
+    unsynced, so a batched run is bit-identical to a sequence of
+    one-request batches. When [sync], ONE durability {!barrier} then
+    fans out across every member, charged as parallel work (slowest
+    member), after pinning every member's chain head into the
+    integrity catalog ({!S4.Backend.group_commit}). With
     {!set_read_overlap} on, maximal runs of consecutive oid-routed
     reads in a batch are charged as one parallel fan-out instead. *)
 

@@ -1,5 +1,6 @@
 module Rpc = S4.Rpc
 module Drive = S4.Drive
+module Backend = S4.Backend
 module Acl = S4.Acl
 module Audit = S4.Audit
 module Chain = S4_integrity.Chain
@@ -97,6 +98,7 @@ let attacker = Rpc.user_cred ~user:1 ~client:66
 
 type sys = {
   target : Target.t;
+  backend : Backend.t;
   clock : Simclock.t;
   tr_admin : Translator.t;
   tr_u1 : Translator.t;
@@ -105,46 +107,41 @@ type sys = {
 }
 
 let build cfg =
-  match cfg.deployment with
-  | Single_drive ->
-    let clock = Simclock.create () in
-    let geometry =
-      Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(cfg.disk_mb * 1024 * 1024)
-    in
-    let drive =
-      Drive.format ~config:Systems.content_drive_config (Sim_disk.create ~geometry clock)
-    in
-    let tr cred = Translator.mount ~cred (Translator.Local drive) in
-    {
-      target = Target.Drive drive;
-      clock;
-      tr_admin = tr admin;
-      tr_u1 = tr legit1;
-      tr_u2 = tr legit2;
-      tr_att = tr attacker;
-    }
-  | Array { shards; mirrored } ->
-    let s =
-      Systems.s4_array
-        ~config:
-          {
-            Systems.Config.content with
-            disk_mb = Some cfg.disk_mb;
-            mirrored;
-          }
-        ~shards ()
-    in
-    let router = Option.get s.Systems.router in
-    let backend = S4_shard.Router.backend router in
-    let tr cred = Translator.mount ~cred (Translator.Backend backend) in
-    {
-      target = Target.Array router;
-      clock = s.Systems.clock;
-      tr_admin = tr admin;
-      tr_u1 = tr legit1;
-      tr_u2 = tr legit2;
-      tr_att = tr attacker;
-    }
+  let target, clock =
+    match cfg.deployment with
+    | Single_drive ->
+      let clock = Simclock.create () in
+      let geometry =
+        Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(cfg.disk_mb * 1024 * 1024)
+      in
+      ( Target.Drive
+          (Drive.format ~config:Systems.content_drive_config (Sim_disk.create ~geometry clock)),
+        clock )
+    | Array { shards; mirrored } ->
+      let s =
+        Systems.s4_array
+          ~config:
+            {
+              Systems.Config.content with
+              disk_mb = Some cfg.disk_mb;
+              mirrored;
+            }
+          ~shards ()
+      in
+      (Target.Array (Option.get s.Systems.router), s.Systems.clock)
+  in
+  (* One backend for every principal: the translators share it. *)
+  let backend = Target.backend target in
+  let tr cred = Translator.mount ~cred (Translator.Backend backend) in
+  {
+    target;
+    backend;
+    clock;
+    tr_admin = tr admin;
+    tr_u1 = tr legit1;
+    tr_u2 = tr legit2;
+    tr_att = tr attacker;
+  }
 
 let nfs_err e = Format.asprintf "%a" N.pp_error e
 
@@ -158,8 +155,6 @@ let via tr f =
   Translator.invalidate_caches tr;
   f ()
 
-let handle t cred req = Target.handle t.target cred req
-
 let oid_of_path t path =
   via t.tr_admin (fun () ->
       match Translator.lookup_path t.tr_admin path with
@@ -168,14 +163,14 @@ let oid_of_path t path =
 
 let set_acl_list t oid entries =
   List.iteri
-    (fun index entry -> ignore (handle t admin (Rpc.Set_acl { oid; index; entry })))
+    (fun index entry -> ignore (Backend.handle t.backend admin (Rpc.Set_acl { oid; index; entry })))
     entries
 
 let read_raw t cred oid =
-  match handle t cred (Rpc.Get_attr { oid; at = None }) with
+  match Backend.handle t.backend cred (Rpc.Get_attr { oid; at = None }) with
   | Rpc.R_attr b when Bytes.length b > 0 ->
     let a = N.decode_attr b in
-    (match handle t cred (Rpc.Read { oid; off = 0; len = a.N.size; at = None }) with
+    (match Backend.handle t.backend cred (Rpc.Read { oid; off = 0; len = a.N.size; at = None }) with
      | Rpc.R_data d -> Some (a, d)
      | _ -> None)
   | _ -> None
@@ -299,7 +294,7 @@ let run cfg =
   let raw_attack cls req ~touches =
     attack_first cls;
     truth.attack_ops <- truth.attack_ops + 1;
-    let resp = handle t attacker req in
+    let resp = Backend.handle t.backend attacker req in
     (match resp with
      | Rpc.R_error Rpc.Permission_denied ->
        truth.denied_ops <- truth.denied_ops + 1;
@@ -365,7 +360,7 @@ let run cfg =
   let mark_attacked p = Hashtbl.replace truth.attacked_paths p () in
   let pick_path rng l = List.nth l (Rng.int rng (List.length l)) in
   let live t oid =
-    match handle t admin (Rpc.Get_attr { oid; at = None }) with
+    match Backend.handle t.backend admin (Rpc.Get_attr { oid; at = None }) with
     | Rpc.R_attr b -> Bytes.length b > 0
     | _ -> false
   in
@@ -391,7 +386,7 @@ let run cfg =
         let nm = Printf.sprintf "backdoor-%d" !backdoors in
         attack_first Trojan;
         truth.attack_ops <- truth.attack_ops + 1;
-        match handle t attacker (Rpc.Create { acl = [] }) with
+        match Backend.handle t.backend attacker (Rpc.Create { acl = [] }) with
         | Rpc.R_oid fresh ->
           let payload = Bytes.of_string ("#!/bin/evil " ^ String.make 200 '!') in
           attacker_write Trojan fresh payload;
@@ -475,13 +470,13 @@ let run cfg =
         (* Denied probes: user 2's mailbox dir and an admin command. *)
         attack_first Exfil;
         truth.attack_ops <- truth.attack_ops + 1;
-        (match handle t attacker (Rpc.Read { oid = doid "home/u2"; off = 0; len = 512; at = None }) with
+        (match Backend.handle t.backend attacker (Rpc.Read { oid = doid "home/u2"; off = 0; len = 512; at = None }) with
          | Rpc.R_error Rpc.Permission_denied ->
            truth.denied_ops <- truth.denied_ops + 1;
            Hashtbl.replace truth.gt_denied (doid "home/u2") ()
          | _ -> failwith "Campaign: home/u2 read should be denied");
         truth.attack_ops <- truth.attack_ops + 1;
-        match handle t attacker (Rpc.Flush { until = now () }) with
+        match Backend.handle t.backend attacker (Rpc.Flush { until = now () }) with
         | Rpc.R_error Rpc.Permission_denied -> truth.denied_ops <- truth.denied_ops + 1
         | _ -> failwith "Campaign: attacker Flush should be denied"
       end
@@ -679,7 +674,7 @@ let run cfg =
     legit_model;
   (* The audit chain must verify end to end after the whole story —
      campaign, forensics and rollback included. *)
-  (match handle t admin (Rpc.Verify_log { from = None }) with
+  (match Backend.handle t.backend admin (Rpc.Verify_log { from = None }) with
    | Rpc.R_verify v ->
      if not (Chain.clean v) then
        violations :=

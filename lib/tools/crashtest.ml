@@ -9,6 +9,7 @@ module Fault = S4_disk.Fault
 module Log = S4_seglog.Log
 module Store = S4_store.Obj_store
 module Drive = S4.Drive
+module Backend = S4.Backend
 module Rpc = S4.Rpc
 module Audit = S4.Audit
 module Mirror = S4_multi.Mirror
@@ -188,18 +189,19 @@ let exec_workload ~ops ~seed ~(backend : S4.Backend.t) o =
 
 let resp_str r = Format.asprintf "%a" Rpc.pp_resp r
 
-(* The recovered drive must keep serving: create, write, sync, read
-   back. [adds] receives one message per broken step. *)
-let service_check adds t2 =
-  match Drive.handle t2 cred (Rpc.Create { acl = [] }) with
+(* The recovered drive (or array) must keep serving: create, write,
+   sync, read back. [adds] receives one message per broken step. *)
+let service_check adds be =
+  let call = Backend.handle be cred in
+  match call (Rpc.Create { acl = [] }) with
   | Rpc.R_oid oid -> (
     let data = Bytes.of_string "post-recovery write" in
     let len = Bytes.length data in
-    match Drive.handle t2 cred (Rpc.Write { oid; off = 0; len; data = Some data }) with
+    match call (Rpc.Write { oid; off = 0; len; data = Some data }) with
     | Rpc.R_unit -> (
-      match Drive.handle t2 cred Rpc.Sync with
+      match call Rpc.Sync with
       | Rpc.R_unit -> (
-        match Drive.handle t2 cred (Rpc.Read { oid; off = 0; len; at = None }) with
+        match call (Rpc.Read { oid; off = 0; len; at = None }) with
         | Rpc.R_data b when Bytes.equal b data -> ()
         | r -> adds ("post-recovery read: " ^ resp_str r))
       | r -> adds ("post-recovery sync: " ^ resp_str r))
@@ -219,6 +221,7 @@ let verify ?(lenient_audit_tail = false) ~disk o =
     add "attach raised %s" (Printexc.to_string e);
     (0, 0, List.rev !violations)
   | Ok t2 ->
+    let be = Drive.backend t2 in
     (* Capture the recovered audit trail first: the verification reads
        below are themselves audited and would pollute it. *)
     let recovered_audit = Audit.records (Drive.audit t2) () in
@@ -244,13 +247,13 @@ let verify ?(lenient_audit_tail = false) ~disk o =
                add "snapshot@%Ld: oid %Ld size %d, expected %d" s.at oid sz size
              | Ok _ ->
                (match
-                  Drive.handle t2 cred (Rpc.Read { oid; off = 0; len = max size 1; at = Some s.at })
+                  Backend.handle be cred (Rpc.Read { oid; off = 0; len = max size 1; at = Some s.at })
                 with
                 | Rpc.R_data b ->
                   if not (Bytes.equal b contents) then
                     add "snapshot@%Ld: oid %Ld contents differ" s.at oid
                 | r -> add "snapshot@%Ld: read oid %Ld: %s" s.at oid (resp_str r));
-               (match Drive.handle t2 cred (Rpc.Get_attr { oid; at = Some s.at }) with
+               (match Backend.handle be cred (Rpc.Get_attr { oid; at = Some s.at }) with
                 | Rpc.R_attr b ->
                   if not (Bytes.equal b attr) then
                     add "snapshot@%Ld: oid %Ld attr differs" s.at oid
@@ -284,7 +287,7 @@ let verify ?(lenient_audit_tail = false) ~disk o =
           add "audit trail has %d records beyond the ops handled" (List.length rs)
     in
     go recovered expected;
-    service_check (fun s -> add "%s" s) t2;
+    service_check (fun s -> add "%s" s) be;
     (List.length o.snaps, !matched, List.rev !violations)
 
 (* ------------------------------------------------------------------ *)
@@ -405,6 +408,7 @@ let verify_array (d0, d1, d2) o =
     let router =
       Router.attach [ (0, Router.Single t0); (1, Router.Single t1); (2, Router.Single t2) ]
     in
+    let be = Router.backend router in
     (* Exactly one authoritative shard per object: attach must have
        deduplicated double holders and dropped partial copies. *)
     List.iter
@@ -427,13 +431,13 @@ let verify_array (d0, d1, d2) o =
           (fun (oid, contents, attr) ->
             let size = Bytes.length contents in
             (match
-               Router.handle router cred (Rpc.Read { oid; off = 0; len = max size 1; at = Some s.at })
+               Backend.handle be cred (Rpc.Read { oid; off = 0; len = max size 1; at = Some s.at })
              with
             | Rpc.R_data b ->
               if not (Bytes.equal b (expected_read { contents; attr; alive = true } ~off:0 ~len:(max size 1))) then
                 add "snapshot@%Ld: oid %Ld contents differ" s.at oid
             | r -> add "snapshot@%Ld: read oid %Ld: %s" s.at oid (resp_str r));
-            match Router.handle router cred (Rpc.Get_attr { oid; at = Some s.at }) with
+            match Backend.handle be cred (Rpc.Get_attr { oid; at = Some s.at }) with
             | Rpc.R_attr b ->
               if not (Bytes.equal b attr) then add "snapshot@%Ld: oid %Ld attr differs" s.at oid
             | r -> add "snapshot@%Ld: attr oid %Ld: %s" s.at oid (resp_str r))
@@ -454,20 +458,7 @@ let verify_array (d0, d1, d2) o =
     List.iter (fun e -> add "post-crash rebalance: %s" e) errs;
     List.iter (fun m -> add "fsck: %s" m) (Router.fsck router);
     (* The repaired array must keep serving. *)
-    (match Router.handle router cred (Rpc.Create { acl = [] }) with
-    | Rpc.R_oid oid -> (
-      let data = Bytes.of_string "post-recovery write" in
-      let len = Bytes.length data in
-      match Router.handle router cred (Rpc.Write { oid; off = 0; len; data = Some data }) with
-      | Rpc.R_unit -> (
-        match Router.handle router cred Rpc.Sync with
-        | Rpc.R_unit -> (
-          match Router.handle router cred (Rpc.Read { oid; off = 0; len; at = None }) with
-          | Rpc.R_data b when Bytes.equal b data -> ()
-          | r -> add "post-recovery read: %s" (resp_str r))
-        | r -> add "post-recovery sync: %s" (resp_str r))
-      | r -> add "post-recovery write: %s" (resp_str r))
-    | r -> add "post-recovery create: %s" (resp_str r));
+    service_check (fun s -> add "%s" s) be;
     (List.length o.snaps, List.rev !violations)
 
 let rebalance_run ?(ops = default_ops) ~seed ~crash_after () =
@@ -515,16 +506,17 @@ let resync_run ~seed ~fail_writes () =
     | Rpc.R_error e -> add "%s failed: %s" what (Format.asprintf "%a" Rpc.pp_error e)
     | _ -> ()
   in
+  let call req = (Mirror.submit m cred [| req |]).(0) in
   let oid =
-    match Mirror.handle m cred (Rpc.Create { acl = [] }) with
+    match call (Rpc.Create { acl = [] }) with
     | Rpc.R_oid oid -> oid
     | r ->
       add "create: %s" (resp_str r);
       0L
   in
   expect_ok "seed write"
-    (Mirror.handle m cred (Rpc.Write { oid; off = 0; len = 4; data = Some (Bytes.of_string "base") }));
-  expect_ok "seed sync" (Mirror.handle m cred Rpc.Sync);
+    (call (Rpc.Write { oid; off = 0; len = 4; data = Some (Bytes.of_string "base") }));
+  expect_ok "seed sync" (call Rpc.Sync);
   (* The secondary fails; non-idempotent mutations pile up in the
      missed-journal. Appends never touch the disk until a Sync, so
      during replay only the Syncs can hit an injected write fault. *)
@@ -533,8 +525,8 @@ let resync_run ~seed ~fail_writes () =
   for k = 0 to nmissed - 1 do
     let s = Printf.sprintf "m%d" k in
     expect_ok "missed append"
-      (Mirror.handle m cred (Rpc.Append { oid; len = String.length s; data = Some (Bytes.of_string s) }));
-    expect_ok "missed sync" (Mirror.handle m cred Rpc.Sync)
+      (call (Rpc.Append { oid; len = String.length s; data = Some (Bytes.of_string s) }));
+    expect_ok "missed sync" (call Rpc.Sync)
   done;
   (* Repaired — but its media faults partway through the replay. *)
   Mirror.set_failed m Mirror.Secondary false;
@@ -752,12 +744,12 @@ let tamper_name = function
   | Fork -> "fork"
 
 let final_sync drive =
-  match Drive.handle drive cred Rpc.Sync with
+  match Backend.handle (Drive.backend drive) cred Rpc.Sync with
   | Rpc.R_unit -> ()
   | r -> failwith ("tamper: final sync: " ^ resp_str r)
 
 let verify_log drive ~from =
-  match Drive.handle drive cred (Rpc.Verify_log { from }) with
+  match Backend.handle (Drive.backend drive) cred (Rpc.Verify_log { from }) with
   | Rpc.R_verify r -> r
   | r -> failwith ("verify-log: " ^ resp_str r)
 
@@ -1019,6 +1011,7 @@ let kill9_postmark_run ?(dir = Filename.get_temp_dir_name ()) ?(transactions = 1
   (match (try Ok (Drive.attach disk2) with e -> Error e) with
    | Error e -> add "attach raised %s" (Printexc.to_string e)
    | Ok t2 ->
+     let be = Drive.backend t2 in
      let recovered_audit = Audit.records (Drive.audit t2) () in
      recovered := List.length recovered_audit;
      List.iter (fun m -> add "fsck: %s" m) (Drive.fsck t2);
@@ -1046,19 +1039,19 @@ let kill9_postmark_run ?(dir = Filename.get_temp_dir_name ()) ?(transactions = 1
          go 0 rs upto)
        checkpoints_chrono;
      (* Namespace walk: every surviving name must mount and answer. *)
-     (match Drive.handle t2 cred (Rpc.P_list { at = None }) with
+     (match Backend.handle be cred (Rpc.P_list { at = None }) with
       | Rpc.R_names names ->
         List.iter
           (fun name ->
-            match Drive.handle t2 cred (Rpc.P_mount { name; at = None }) with
+            match Backend.handle be cred (Rpc.P_mount { name; at = None }) with
             | Rpc.R_oid oid -> (
-              match Drive.handle t2 cred (Rpc.Get_attr { oid; at = None }) with
+              match Backend.handle be cred (Rpc.Get_attr { oid; at = None }) with
               | Rpc.R_attr _ -> ()
               | r -> add "walk: attr of %s: %s" name (resp_str r))
             | r -> add "walk: mount %s: %s" name (resp_str r))
           names
       | r -> add "walk: list: %s" (resp_str r));
-     service_check (fun s -> add "%s" s) t2);
+     service_check (fun s -> add "%s" s) be);
   Sim_disk.close disk2;
   let report =
     {

@@ -3,11 +3,11 @@ module Store = S4_store.Obj_store
 module Entry = S4_store.Entry
 module N = S4_nfs.Nfs_types
 
-type t = { target : Target.t; cred : Rpc.credential }
+type t = { target : Target.t; backend : S4.Backend.t; cred : Rpc.credential }
 
-let of_target ?(cred = Rpc.admin_cred) target = { target; cred }
+let of_target ?(cred = Rpc.admin_cred) target = { target; backend = Target.backend target; cred }
 let create ?cred drive = of_target ?cred (Target.Drive drive)
-let call t req = Target.handle t.target t.cred req
+let call t req = S4.Backend.handle t.backend t.cred req
 
 let err fmt = Format.kasprintf (fun s -> Error s) fmt
 

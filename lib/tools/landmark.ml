@@ -5,7 +5,7 @@ module Rpc = S4.Rpc
 module Drive = S4.Drive
 module Audit = S4.Audit
 
-type t = { target : Target.t; cred : Rpc.credential; index_oid : int64 }
+type t = { target : Target.t; backend : S4.Backend.t; cred : Rpc.credential; index_oid : int64 }
 
 type landmark = {
   l_name : string;
@@ -26,7 +26,7 @@ let err fmt = Format.kasprintf (fun s -> Error s) fmt
 exception Fail of string
 
 let call_exn t req =
-  match Target.handle t.target t.cred req with
+  match S4.Backend.handle t.backend t.cred req with
   | Rpc.R_error e -> raise (Fail (Format.asprintf "%s: %a" (Rpc.op_name req) Rpc.pp_error e))
   | resp -> resp
 
@@ -36,14 +36,15 @@ let fail_create fmt =
   Format.kasprintf (fun s -> failwith ("Landmark.create: " ^ s)) fmt
 
 let of_target ?(cred = Rpc.admin_cred) target =
-  let probe = { target; cred; index_oid = 0L } in
+  let backend = Target.backend target in
+  let call = S4.Backend.handle backend cred in
   let index_oid =
-    match Target.handle target cred (Rpc.P_mount { name = partition; at = None }) with
+    match call (Rpc.P_mount { name = partition; at = None }) with
     | Rpc.R_oid oid -> oid
     | Rpc.R_error Rpc.Not_found ->
-      (match Target.handle target cred (Rpc.Create { acl = [] }) with
+      (match call (Rpc.Create { acl = [] }) with
        | Rpc.R_oid oid ->
-         (match Target.handle target cred (Rpc.P_create { name = partition; oid }) with
+         (match call (Rpc.P_create { name = partition; oid }) with
           | Rpc.R_unit -> oid
           | Rpc.R_error e ->
             fail_create "cannot register partition %S: %a" partition Rpc.pp_error e
@@ -56,14 +57,13 @@ let of_target ?(cred = Rpc.admin_cred) target =
   (* A stale partition entry can name a dead or missing object (e.g.
      deleted behind the tool's back); catch it here with a clear
      diagnostic rather than letting every later call fail obscurely. *)
-  (match Target.handle target cred (Rpc.Get_attr { oid = index_oid; at = None }) with
+  (match call (Rpc.Get_attr { oid = index_oid; at = None }) with
    | Rpc.R_attr _ -> ()
    | Rpc.R_error e ->
      fail_create "index object %Ld (partition %S) is unusable: %a" index_oid partition
        Rpc.pp_error e
    | r -> fail_create "index object %Ld: unexpected response %a" index_oid Rpc.pp_resp r);
-  ignore probe;
-  { target; cred; index_oid }
+  { target; backend; cred; index_oid }
 
 let create ?cred drive = of_target ?cred (Target.Drive drive)
 
@@ -156,7 +156,7 @@ let write_index t landmarks marks =
   ignore (call_exn t (Rpc.Truncate { oid = t.index_oid; size = 0 }));
   ignore
     (call_exn t (Rpc.Write { oid = t.index_oid; off = 0; len = Bytes.length data; data = Some data }));
-  match Target.handle t.target t.cred Rpc.Sync with _ -> ()
+  match S4.Backend.handle t.backend t.cred Rpc.Sync with _ -> ()
 
 let find t name = List.find_opt (fun l -> l.l_name = name) (list t)
 let find_mark t name = List.find_opt (fun m -> m.m_name = name) (marks t)

@@ -3,7 +3,7 @@ module Acl = S4.Acl
 module Store = S4_store.Obj_store
 module N = S4_nfs.Nfs_types
 
-type t = { target : Target.t; cred : Rpc.credential; hist : History.t }
+type t = { target : Target.t; backend : S4.Backend.t; cred : Rpc.credential; hist : History.t }
 
 type report = {
   files_restored : int;
@@ -13,10 +13,10 @@ type report = {
 }
 
 let of_target ?(cred = Rpc.admin_cred) target =
-  { target; cred; hist = History.of_target ~cred target }
+  { target; backend = Target.backend target; cred; hist = History.of_target ~cred target }
 
 let create ?cred drive = of_target ?cred (Target.Drive drive)
-let call t req = Target.handle t.target t.cred req
+let call t req = S4.Backend.handle t.backend t.cred req
 
 let err fmt = Format.kasprintf (fun s -> Error s) fmt
 
@@ -40,7 +40,7 @@ let submit_exn t reqs =
         | Rpc.R_error e ->
           raise (Fail (Format.asprintf "%s: %a" (Rpc.op_name arr.(i)) Rpc.pp_error e))
         | _ -> ())
-      (Target.submit t.target t.cred arr)
+      (t.backend.S4.Backend.submit t.cred arr)
 
 (* An entry that grants nothing: [Set_acl] can only overwrite slots,
    never shorten the list, so entries added since [at] are blanked

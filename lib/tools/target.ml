@@ -8,18 +8,8 @@ module Simclock = S4_util.Simclock
 
 type t = Drive of Drive.t | Array of Router.t
 
-let of_drive d = Drive d
-let of_router r = Array r
 
-let handle t cred req =
-  match t with
-  | Drive d -> Drive.handle d cred req
-  | Array r -> Router.handle r cred req
-
-let submit t cred ?sync reqs =
-  match t with
-  | Drive d -> Drive.submit d cred ?sync reqs
-  | Array r -> Router.submit r cred ?sync reqs
+let backend = function Drive d -> Drive.backend d | Array r -> Router.backend r
 
 let clock = function Drive d -> Drive.clock d | Array r -> Router.clock r
 let ops_handled = function Drive d -> Drive.ops_handled d | Array r -> Router.ops_handled r

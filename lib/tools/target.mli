@@ -1,9 +1,9 @@
 (** What the administrative tools operate on: a single self-securing
     drive or a whole sharded array behind a {!S4_shard.Router}.
 
-    Both expose the same request surface ([credential + req -> resp]),
-    so {!History}, {!Recovery}, {!Diagnosis} and {!Landmark} are
-    written once against this type and work unchanged at array scale.
+    Both expose the same request surface ({!backend}), so {!History},
+    {!Recovery}, {!Diagnosis} and {!Landmark} are written once against
+    this type and work unchanged at array scale.
     The device-side accessors ([store_of], [members], [audit_records])
     are the administrator's physical-access privilege from the paper's
     model: the tools run {e on} the storage side of the security
@@ -11,18 +11,13 @@
 
 type t = Drive of S4.Drive.t | Array of S4_shard.Router.t
 
-val of_drive : S4.Drive.t -> t
-val of_router : S4_shard.Router.t -> t
-
-val handle : t -> S4.Rpc.credential -> S4.Rpc.req -> S4.Rpc.resp
-
-val submit :
-  t -> S4.Rpc.credential -> ?sync:bool -> S4.Rpc.req array -> S4.Rpc.resp array
-(** Vectored {!handle} — the native submission surface of both targets
-    ({!S4.Drive.submit}, {!S4_shard.Router.submit}). Tools that issue
-    runs of independent requests (ACL slot rewrites, a file's restore
-    sequence) go through this so a whole run is one submission and —
-    when [sync] — pays a single group-commit barrier. *)
+val backend : t -> S4.Backend.t
+(** The target's request surface ({!S4.Drive.backend} or
+    {!S4_shard.Router.backend}). A tool builds it once and reuses it:
+    single requests go through [Backend.handle]; runs of independent
+    requests (ACL slot rewrites, a file's restore sequence) go down as
+    one [submit], which — when [sync] — pays a single group-commit
+    barrier. *)
 
 val clock : t -> S4_util.Simclock.t
 val ops_handled : t -> int

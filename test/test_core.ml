@@ -12,7 +12,10 @@ module Audit = S4.Audit
 module Rpc = S4.Rpc
 module Throttle = S4.Throttle
 module Drive = S4.Drive
+module Backend = S4.Backend
 module Client = S4.Client
+module Fault = S4_disk.Fault
+module Rng = S4_util.Rng
 
 let check = Alcotest.check
 let qtest = Qseed.qtest
@@ -46,15 +49,17 @@ let expect_error expected = function
   | Rpc.R_error e when e = expected -> ()
   | r -> Alcotest.failf "expected error, got %a" Rpc.pp_resp r
 
+let handle drive = Backend.handle (Drive.backend drive)
+
 let create_file drive cred ?(acl = []) content =
-  let oid = expect_oid (Drive.handle drive cred (Rpc.Create { acl })) in
+  let oid = expect_oid (handle drive cred (Rpc.Create { acl })) in
   expect_unit
-    (Drive.handle drive cred
+    (handle drive cred
        (Rpc.Write { oid; off = 0; len = String.length content; data = Some (bytes_of content) }));
   oid
 
 let read_str drive cred ?at oid =
-  Bytes.to_string (expect_data (Drive.handle drive cred (Rpc.Read { oid; off = 0; len = 1 lsl 20; at })))
+  Bytes.to_string (expect_data (handle drive cred (Rpc.Read { oid; off = 0; len = 1 lsl 20; at })))
 
 (* --- ACL ------------------------------------------------------------- *)
 
@@ -233,56 +238,56 @@ let test_drive_create_write_read () =
 let test_drive_all_table1_rpcs () =
   (* Exercise every RPC from Table 1 at least once. *)
   let clock, _, drive = mk_drive () in
-  let oid = expect_oid (Drive.handle drive alice (Rpc.Create { acl = [] })) in
-  expect_unit (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 4; data = Some (bytes_of "abcd") }));
-  expect_unit (Drive.handle drive alice (Rpc.Append { oid; len = 4; data = Some (bytes_of "efgh") }));
+  let oid = expect_oid (handle drive alice (Rpc.Create { acl = [] })) in
+  expect_unit (handle drive alice (Rpc.Write { oid; off = 0; len = 4; data = Some (bytes_of "abcd") }));
+  expect_unit (handle drive alice (Rpc.Append { oid; len = 4; data = Some (bytes_of "efgh") }));
   check Alcotest.string "write+append" "abcdefgh" (read_str drive alice oid);
-  expect_unit (Drive.handle drive alice (Rpc.Truncate { oid; size = 4 }));
-  expect_unit (Drive.handle drive alice (Rpc.Set_attr { oid; attr = bytes_of "nfs-attrs" }));
-  (match Drive.handle drive alice (Rpc.Get_attr { oid; at = None }) with
+  expect_unit (handle drive alice (Rpc.Truncate { oid; size = 4 }));
+  expect_unit (handle drive alice (Rpc.Set_attr { oid; attr = bytes_of "nfs-attrs" }));
+  (match handle drive alice (Rpc.Get_attr { oid; at = None }) with
    | Rpc.R_attr b -> check Alcotest.string "attr" "nfs-attrs" (Bytes.to_string b)
    | r -> Alcotest.failf "getattr: %a" Rpc.pp_resp r);
-  (match Drive.handle drive alice (Rpc.Get_acl_by_user { oid; acl_user = 1; at = None }) with
+  (match handle drive alice (Rpc.Get_acl_by_user { oid; acl_user = 1; at = None }) with
    | Rpc.R_acl e -> check Alcotest.int "owner acl" 1 e.Acl.user
    | r -> Alcotest.failf "getacl: %a" Rpc.pp_resp r);
-  (match Drive.handle drive alice (Rpc.Get_acl_by_index { oid; index = 0; at = None }) with
+  (match handle drive alice (Rpc.Get_acl_by_index { oid; index = 0; at = None }) with
    | Rpc.R_acl _ -> ()
    | r -> Alcotest.failf "getacl idx: %a" Rpc.pp_resp r);
-  expect_unit (Drive.handle drive alice (Rpc.Set_acl { oid; index = 1; entry = Acl.public_read }));
+  expect_unit (handle drive alice (Rpc.Set_acl { oid; index = 1; entry = Acl.public_read }));
   check Alcotest.string "bob can read now" "abcd" (read_str drive bob oid);
-  expect_unit (Drive.handle drive alice (Rpc.P_create { name = "home"; oid }));
-  (match Drive.handle drive bob (Rpc.P_list { at = None }) with
+  expect_unit (handle drive alice (Rpc.P_create { name = "home"; oid }));
+  (match handle drive bob (Rpc.P_list { at = None }) with
    | Rpc.R_names [ "home" ] -> ()
    | r -> Alcotest.failf "plist: %a" Rpc.pp_resp r);
-  (match Drive.handle drive bob (Rpc.P_mount { name = "home"; at = None }) with
+  (match handle drive bob (Rpc.P_mount { name = "home"; at = None }) with
    | Rpc.R_oid o -> check Alcotest.int64 "pmount" oid o
    | r -> Alcotest.failf "pmount: %a" Rpc.pp_resp r);
-  expect_unit (Drive.handle drive alice Rpc.Sync);
-  expect_unit (Drive.handle drive alice (Rpc.P_delete { name = "home" }));
+  expect_unit (handle drive alice Rpc.Sync);
+  expect_unit (handle drive alice (Rpc.P_delete { name = "home" }));
   tick clock;
-  expect_unit (Drive.handle drive alice (Rpc.Delete { oid }));
-  expect_unit (Drive.handle drive admin (Rpc.Set_window { window = 1_000_000_000L }));
-  expect_unit (Drive.handle drive admin (Rpc.Flush_object { oid; until = 0L }));
-  expect_unit (Drive.handle drive admin (Rpc.Flush { until = 0L }));
-  (match Drive.handle drive admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
+  expect_unit (handle drive alice (Rpc.Delete { oid }));
+  expect_unit (handle drive admin (Rpc.Set_window { window = 1_000_000_000L }));
+  expect_unit (handle drive admin (Rpc.Flush_object { oid; until = 0L }));
+  expect_unit (handle drive admin (Rpc.Flush { until = 0L }));
+  (match handle drive admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
    | Rpc.R_audit rs -> check Alcotest.bool "audited" true (List.length rs > 10)
    | r -> Alcotest.failf "readaudit: %a" Rpc.pp_resp r)
 
 let test_drive_permission_checks () =
   let _, _, drive = mk_drive () in
   let oid = create_file drive alice "private" in
-  expect_error Rpc.Permission_denied (Drive.handle drive bob (Rpc.Read { oid; off = 0; len = 7; at = None }));
+  expect_error Rpc.Permission_denied (handle drive bob (Rpc.Read { oid; off = 0; len = 7; at = None }));
   expect_error Rpc.Permission_denied
-    (Drive.handle drive bob (Rpc.Write { oid; off = 0; len = 1; data = Some (bytes_of "x") }));
-  expect_error Rpc.Permission_denied (Drive.handle drive bob (Rpc.Delete { oid }));
-  expect_error Rpc.Permission_denied (Drive.handle drive bob (Rpc.Set_attr { oid; attr = Bytes.empty }));
+    (handle drive bob (Rpc.Write { oid; off = 0; len = 1; data = Some (bytes_of "x") }));
+  expect_error Rpc.Permission_denied (handle drive bob (Rpc.Delete { oid }));
+  expect_error Rpc.Permission_denied (handle drive bob (Rpc.Set_attr { oid; attr = Bytes.empty }));
   expect_error Rpc.Permission_denied
-    (Drive.handle drive bob (Rpc.Set_acl { oid; index = 0; entry = Acl.owner_entry ~user:2 }));
+    (handle drive bob (Rpc.Set_acl { oid; index = 0; entry = Acl.owner_entry ~user:2 }));
   (* Admin RPCs refused to ordinary users — even the owner. *)
-  expect_error Rpc.Permission_denied (Drive.handle drive alice (Rpc.Flush { until = 0L }));
-  expect_error Rpc.Permission_denied (Drive.handle drive alice (Rpc.Set_window { window = 1L }));
+  expect_error Rpc.Permission_denied (handle drive alice (Rpc.Flush { until = 0L }));
+  expect_error Rpc.Permission_denied (handle drive alice (Rpc.Set_window { window = 1L }));
   expect_error Rpc.Permission_denied
-    (Drive.handle drive alice (Rpc.Read_audit { since = 0L; until = 1L }))
+    (handle drive alice (Rpc.Read_audit { since = 0L; until = 1L }))
 
 let test_drive_admin_bypasses_acl () =
   let _, _, drive = mk_drive () in
@@ -299,11 +304,11 @@ let test_drive_time_based_read_requires_recovery_flag () =
   let t1 = Simclock.now clock in
   tick clock;
   expect_unit
-    (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 11; data = Some (bytes_of "version-two") }));
+    (handle drive alice (Rpc.Write { oid; off = 0; len = 11; data = Some (bytes_of "version-two") }));
   (* Bob reads current fine, but history is denied. *)
   check Alcotest.string "bob current" "version-two" (read_str drive bob oid);
   expect_error Rpc.Permission_denied
-    (Drive.handle drive bob (Rpc.Read { oid; off = 0; len = 11; at = Some t1 }));
+    (handle drive bob (Rpc.Read { oid; off = 0; len = 11; at = Some t1 }));
   (* Alice (owner, recovery) and admin can see the old version. *)
   check Alcotest.string "alice history" "version-one" (read_str drive alice ~at:t1 oid);
   check Alcotest.string "admin history" "version-one" (read_str drive admin ~at:t1 oid)
@@ -316,17 +321,17 @@ let test_drive_intruder_cannot_destroy_history () =
   let before_intrusion = Simclock.now clock in
   tick clock;
   (* Intruder with alice's credential scrubs the log and deletes it. *)
-  expect_unit (Drive.handle drive alice (Rpc.Truncate { oid; size = 0 }));
+  expect_unit (handle drive alice (Rpc.Truncate { oid; size = 0 }));
   expect_unit
-    (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 6; data = Some (bytes_of "hacked") }));
-  expect_unit (Drive.handle drive alice (Rpc.Delete { oid }));
+    (handle drive alice (Rpc.Write { oid; off = 0; len = 6; data = Some (bytes_of "hacked") }));
+  expect_unit (handle drive alice (Rpc.Delete { oid }));
   (* Flush/SetWindow with stolen user credentials fail. *)
-  expect_error Rpc.Permission_denied (Drive.handle drive alice (Rpc.Flush { until = Int64.max_int }));
+  expect_error Rpc.Permission_denied (handle drive alice (Rpc.Flush { until = Int64.max_int }));
   (* The administrator recovers the pre-intrusion contents. *)
   check Alcotest.string "history intact" "system log: normal activity"
     (read_str drive admin ~at:before_intrusion oid);
   (* And the audit log shows exactly what the intruder did. *)
-  match Drive.handle drive admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
+  match handle drive admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
   | Rpc.R_audit rs ->
     let ops = List.map (fun r -> r.Audit.op) rs in
     check Alcotest.bool "truncate audited" true (List.mem "truncate" ops);
@@ -336,8 +341,8 @@ let test_drive_intruder_cannot_destroy_history () =
 let test_drive_rejected_requests_are_audited () =
   let _, _, drive = mk_drive () in
   let oid = create_file drive alice "data" in
-  ignore (Drive.handle drive bob (Rpc.Read { oid; off = 0; len = 4; at = None }));
-  match Drive.handle drive admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
+  ignore (handle drive bob (Rpc.Read { oid; off = 0; len = 4; at = None }));
+  match handle drive admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
   | Rpc.R_audit rs ->
     check Alcotest.bool "denied request recorded" true
       (List.exists (fun r -> r.Audit.user = 2 && not r.Audit.ok) rs)
@@ -345,32 +350,32 @@ let test_drive_rejected_requests_are_audited () =
 
 let test_drive_not_found_and_deleted_errors () =
   let _, _, drive = mk_drive () in
-  expect_error Rpc.Not_found (Drive.handle drive admin (Rpc.Read { oid = 9999L; off = 0; len = 1; at = None }));
+  expect_error Rpc.Not_found (handle drive admin (Rpc.Read { oid = 9999L; off = 0; len = 1; at = None }));
   let oid = create_file drive alice "x" in
-  expect_unit (Drive.handle drive alice (Rpc.Delete { oid }));
+  expect_unit (handle drive alice (Rpc.Delete { oid }));
   expect_error Rpc.Object_deleted
-    (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 1; data = Some (bytes_of "y") }))
+    (handle drive alice (Rpc.Write { oid; off = 0; len = 1; data = Some (bytes_of "y") }))
 
 let test_drive_partition_table_is_versioned () =
   let clock, _, drive = mk_drive () in
   let oid = create_file drive alice "fs root" in
-  expect_unit (Drive.handle drive alice (Rpc.P_create { name = "vol0"; oid }));
+  expect_unit (handle drive alice (Rpc.P_create { name = "vol0"; oid }));
   let t = Simclock.now clock in
   tick clock;
-  expect_unit (Drive.handle drive alice (Rpc.P_delete { name = "vol0" }));
-  (match Drive.handle drive alice (Rpc.P_list { at = None }) with
+  expect_unit (handle drive alice (Rpc.P_delete { name = "vol0" }));
+  (match handle drive alice (Rpc.P_list { at = None }) with
    | Rpc.R_names [] -> ()
    | r -> Alcotest.failf "plist now: %a" Rpc.pp_resp r);
   (* Admin sees the old partition table. *)
-  match Drive.handle drive admin (Rpc.P_mount { name = "vol0"; at = Some t }) with
+  match handle drive admin (Rpc.P_mount { name = "vol0"; at = Some t }) with
   | Rpc.R_oid o -> check Alcotest.int64 "old table entry" oid o
   | r -> Alcotest.failf "pmount at: %a" Rpc.pp_resp r
 
 let test_drive_duplicate_partition_rejected () =
   let _, _, drive = mk_drive () in
   let oid = create_file drive alice "root" in
-  expect_unit (Drive.handle drive alice (Rpc.P_create { name = "a"; oid }));
-  match Drive.handle drive alice (Rpc.P_create { name = "a"; oid }) with
+  expect_unit (handle drive alice (Rpc.P_create { name = "a"; oid }));
+  match handle drive alice (Rpc.P_create { name = "a"; oid }) with
   | Rpc.R_error (Rpc.Bad_request _) -> ()
   | r -> Alcotest.failf "expected bad request, got %a" Rpc.pp_resp r
 
@@ -379,10 +384,10 @@ let test_drive_flush_ages_history () =
   let oid = create_file drive alice "v1" in
   let t1 = Simclock.now clock in
   tick clock;
-  expect_unit (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 2; data = Some (bytes_of "v2") }));
-  expect_unit (Drive.handle drive alice Rpc.Sync);
+  expect_unit (handle drive alice (Rpc.Write { oid; off = 0; len = 2; data = Some (bytes_of "v2") }));
+  expect_unit (handle drive alice Rpc.Sync);
   tick clock;
-  expect_unit (Drive.handle drive admin (Rpc.Flush { until = Simclock.now clock }));
+  expect_unit (handle drive admin (Rpc.Flush { until = Simclock.now clock }));
   (* v1 was admin-flushed; current still fine. *)
   check Alcotest.string "current survives flush" "v2" (read_str drive admin oid);
   ignore t1
@@ -390,8 +395,8 @@ let test_drive_flush_ages_history () =
 let test_drive_fsck_clean () =
   let clock, _, drive = mk_drive () in
   let oid = create_file drive alice "fsck me" in
-  expect_unit (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 7; data = Some (bytes_of "fsck me") }));
-  expect_unit (Drive.handle drive alice Rpc.Sync);
+  expect_unit (handle drive alice (Rpc.Write { oid; off = 0; len = 7; data = Some (bytes_of "fsck me") }));
+  expect_unit (handle drive alice Rpc.Sync);
   tick clock;
   ignore (Drive.run_cleaner drive);
   check (Alcotest.list Alcotest.string) "no violations" [] (Drive.fsck drive)
@@ -401,23 +406,23 @@ let test_drive_crash_recovery () =
   let oid = create_file drive alice "persistent data" in
   let t = Simclock.now clock in
   tick clock;
-  expect_unit (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 10; data = Some (bytes_of "new conten") }));
-  expect_unit (Drive.handle drive alice Rpc.Sync);
+  expect_unit (handle drive alice (Rpc.Write { oid; off = 0; len = 10; data = Some (bytes_of "new conten") }));
+  expect_unit (handle drive alice Rpc.Sync);
   S4.Audit.flush (Drive.audit drive);
   Log.sync (Drive.log drive);
   (* Crash; reattach from the same disk. *)
   let drive2 = Drive.attach disk in
   check Alcotest.string "current recovered" "new conten data" (read_str drive2 admin oid);
   check Alcotest.string "history recovered" "persistent data" (read_str drive2 admin ~at:t oid);
-  (match Drive.handle drive2 admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
+  (match handle drive2 admin (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
    | Rpc.R_audit rs -> check Alcotest.bool "audit recovered" true (List.length rs > 0)
    | r -> Alcotest.failf "audit: %a" Rpc.pp_resp r);
   check (Alcotest.list Alcotest.string) "fsck after recovery" [] (Drive.fsck drive2)
 
 let test_drive_window_persists_across_crash () =
   let _, disk, drive = mk_drive () in
-  expect_unit (Drive.handle drive admin (Rpc.Set_window { window = 42_000_000_000L }));
-  expect_unit (Drive.handle drive admin Rpc.Sync);
+  expect_unit (handle drive admin (Rpc.Set_window { window = 42_000_000_000L }));
+  expect_unit (handle drive admin Rpc.Sync);
   Log.sync (Drive.log drive);
   let drive2 = Drive.attach disk in
   check Alcotest.int64 "window recovered" 42_000_000_000L (Drive.window drive2)
@@ -432,13 +437,13 @@ let test_drive_throttling_under_pressure () =
   in
   let clock, _, drive = mk_drive ~mb:32 ~config () in
   let abuser = Rpc.user_cred ~user:66 ~client:666 in
-  let oid = expect_oid (Drive.handle drive abuser (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle drive abuser (Rpc.Create { acl = [] })) in
   let junk = Bytes.make 8192 'j' in
   for _ = 1 to 2000 do
-    expect_unit (Drive.handle drive abuser (Rpc.Write { oid; off = 0; len = 8192; data = Some junk }));
+    expect_unit (handle drive abuser (Rpc.Write { oid; off = 0; len = 8192; data = Some junk }));
     tick clock
   done;
-  ignore (Drive.handle drive abuser Rpc.Sync);
+  ignore (handle drive abuser Rpc.Sync);
   let th = Option.get (Drive.throttle drive) in
   Throttle.set_pool_pressure th (Drive.pool_pressure drive);
   check Alcotest.bool "pressure high" true (Drive.pool_pressure drive > 0.8);
@@ -446,7 +451,7 @@ let test_drive_throttling_under_pressure () =
   check Alcotest.bool "innocent not throttled" false (Throttle.is_throttled th ~client:100);
   (* The penalty manifests as added latency on the abuser's next op. *)
   let before = Simclock.now clock in
-  ignore (Drive.handle drive abuser (Rpc.Get_attr { oid; at = None }));
+  ignore (handle drive abuser (Rpc.Get_attr { oid; at = None }));
   let abuser_cost = Int64.sub (Simclock.now clock) before in
   check Alcotest.bool "abuser delayed" true (Int64.compare abuser_cost (Simclock.of_ms 1.0) > 0)
 
@@ -460,8 +465,8 @@ let test_drive_detection_window_guarantee () =
   let t1 = Simclock.now clock in
   tick clock;
   expect_unit
-    (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 17; data = Some (bytes_of "OVERWRITTEN nowww") }));
-  expect_unit (Drive.handle drive alice Rpc.Sync);
+    (handle drive alice (Rpc.Write { oid; off = 0; len = 17; data = Some (bytes_of "OVERWRITTEN nowww") }));
+  expect_unit (handle drive alice Rpc.Sync);
   (* Just inside the window: the cleaner must not touch v1. *)
   Simclock.advance clock (Simclock.of_seconds 5.0);
   ignore (Drive.run_cleaner drive);
@@ -470,7 +475,7 @@ let test_drive_detection_window_guarantee () =
   (* Well past the window: aging may reclaim it. *)
   Simclock.advance clock (Simclock.of_seconds 60.0);
   ignore (Drive.run_cleaner drive);
-  (match Drive.handle drive admin (Rpc.Read { oid; off = 0; len = 17; at = Some t1 }) with
+  (match handle drive admin (Rpc.Read { oid; off = 0; len = 17; at = Some t1 }) with
    | Rpc.R_data b when Bytes.to_string b = "inside the window" ->
      Alcotest.fail "expired version should have been reclaimed"
    | _ -> ());
@@ -484,15 +489,15 @@ let test_drive_set_window_shrinks_guarantee () =
   let oid = create_file drive alice "history" in
   let t1 = Simclock.now clock in
   tick clock;
-  expect_unit (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 3; data = Some (bytes_of "new") }));
-  expect_unit (Drive.handle drive alice Rpc.Sync);
+  expect_unit (handle drive alice (Rpc.Write { oid; off = 0; len = 3; data = Some (bytes_of "new") }));
+  expect_unit (handle drive alice Rpc.Sync);
   Simclock.advance clock (Simclock.of_seconds 60.0);
   ignore (Drive.run_cleaner drive);
   check Alcotest.string "long window keeps it" "history" (read_str drive admin ~at:t1 oid);
   (* Admin shrinks the window; the old version becomes reclaimable. *)
-  expect_unit (Drive.handle drive admin (Rpc.Set_window { window = Simclock.of_seconds 1.0 }));
+  expect_unit (handle drive admin (Rpc.Set_window { window = Simclock.of_seconds 1.0 }));
   ignore (Drive.run_cleaner drive);
-  match Drive.handle drive admin (Rpc.Read { oid; off = 0; len = 7; at = Some t1 }) with
+  match handle drive admin (Rpc.Read { oid; off = 0; len = 7; at = Some t1 }) with
   | Rpc.R_data b when Bytes.to_string b = "history" -> Alcotest.fail "window shrink ignored"
   | _ -> ()
 
@@ -509,7 +514,7 @@ let test_drive_no_space_is_an_error_not_a_crash () =
   (try
      for i = 1 to 200 do
        match
-         Drive.handle drive alice
+         handle drive alice
            (Rpc.Write { oid = filler; off = i * 65536; len = 65536; data = Some junk })
        with
        | Rpc.R_error Rpc.No_space ->
@@ -522,12 +527,51 @@ let test_drive_no_space_is_an_error_not_a_crash () =
   (* Reads still work. *)
   check Alcotest.string "drive still serves reads" "seed" (read_str drive alice oid)
 
+(* --- group commit ----------------------------------------------------- *)
+
+let resps = Alcotest.(array (testable Rpc.pp_resp ( = )))
+
+let test_group_commit_rule () =
+  let io = Rpc.Io_error "barrier" and ok = Rpc.R_unit and oid = Rpc.R_oid 7L in
+  let denied = Rpc.R_error Rpc.Permission_denied and missing = Rpc.R_error Rpc.Not_found in
+  let lost = Rpc.R_error io in
+  List.iter
+    (fun (name, sync, outcome, batch, paid, expected) ->
+      let n = ref 0 in
+      let got = Backend.group_commit ~sync ~barrier:(fun () -> incr n; outcome) batch in
+      check Alcotest.int (name ^ ": barriers paid") paid !n;
+      check resps name expected got)
+    [
+      ("unsynced", false, Some io, [| ok |], 0, [| ok |]);
+      ("empty synced batch", true, None, [||], 1, [||]);
+      ("all failed", true, Some io, [| denied; missing |], 0, [| denied; missing |]);
+      ("barrier ok", true, None, [| ok; denied |], 1, [| ok; denied |]);
+      ("barrier error", true, Some io, [| ok; denied; oid; missing |], 1, [| lost; denied; lost; missing |]);
+    ]
+
+let test_drive_failed_barrier_rewrites_batch () =
+  let _, disk, drive = mk_drive () in
+  let theirs = create_file drive alice "alice only" in
+  let mine = create_file drive bob "bob's" in
+  expect_unit (handle drive bob ~sync:true Rpc.Sync);
+  let policy = Fault.create (Rng.create ~seed:3) in
+  Sim_disk.set_fault disk (Some policy);
+  Fault.fail_next policy ~writes:100 ~transient:false;
+  let read = Rpc.Read { oid = theirs; off = 0; len = 4; at = None } in
+  let write = Rpc.Write { oid = mine; off = 0; len = 3; data = Some (bytes_of "new") } in
+  let got = Drive.submit drive bob ~sync:true [| read; write |] in
+  Sim_disk.set_fault disk None;
+  expect_error Rpc.Permission_denied got.(0);
+  match got.(1) with
+  | Rpc.R_error (Rpc.Io_error m) when String.starts_with ~prefix:"sync " m -> ()
+  | r -> Alcotest.failf "expected the barrier's Io_error, got %a" Rpc.pp_resp r
+
 let test_client_rpc_costs_time () =
   let clock, _, drive = mk_drive () in
   let net = Net.create clock in
   let client = Client.connect net drive in
   let before = Simclock.now clock in
-  let oid = expect_oid (Client.call client alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (Backend.handle (Client.backend client) alice (Rpc.Create { acl = [] })) in
   check Alcotest.bool "network time charged" true (Int64.compare (Simclock.now clock) before > 0);
   check Alcotest.int "rpc counted" 1 (Client.rpc_count client);
   ignore oid
@@ -536,27 +580,28 @@ let test_client_payload_costs_bandwidth () =
   let clock, _, drive = mk_drive () in
   let net = Net.create clock in
   let client = Client.connect net drive in
-  let oid = expect_oid (Client.call client alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (Backend.handle (Client.backend client) alice (Rpc.Create { acl = [] })) in
   let t0 = Simclock.now clock in
-  ignore (Client.call_exn client alice (Rpc.Write { oid; off = 0; len = 64; data = Some (Bytes.make 64 'a') }));
+  ignore (Backend.handle (Client.backend client) alice (Rpc.Write { oid; off = 0; len = 64; data = Some (Bytes.make 64 'a') }));
   let small = Int64.sub (Simclock.now clock) t0 in
   let t1 = Simclock.now clock in
   ignore
-    (Client.call_exn client alice
+    (Backend.handle (Client.backend client) alice
        (Rpc.Write { oid; off = 0; len = 1 lsl 20; data = Some (Bytes.make (1 lsl 20) 'b') }));
   let big = Int64.sub (Simclock.now clock) t1 in
   check Alcotest.bool "1MB write much slower than 64B" true
     (Int64.to_float big > 5.0 *. Int64.to_float small)
 
-let test_client_call_exn () =
+let test_client_error_response () =
   let clock, _, drive = mk_drive () in
   let net = Net.create clock in
   let client = Client.connect net drive in
-  check Alcotest.bool "raises on error" true
-    (try
-       ignore (Client.call_exn client alice (Rpc.Delete { oid = 4242L }));
-       false
-     with Failure _ -> true)
+  let before = Simclock.now clock in
+  check resps "error in its slot"
+    [| Rpc.R_error Rpc.Not_found |]
+    (Client.submit client alice [| Rpc.Delete { oid = 4242L } |]);
+  check Alcotest.bool "network time charged" true (Int64.compare (Simclock.now clock) before > 0);
+  check Alcotest.int "rpc counted" 1 (Client.rpc_count client)
 
 let () =
   Alcotest.run "s4_core"
@@ -607,10 +652,15 @@ let () =
           Alcotest.test_case "detection window guarantee" `Quick test_drive_detection_window_guarantee;
           Alcotest.test_case "setwindow shrinks" `Quick test_drive_set_window_shrinks_guarantee;
         ] );
+      ( "group commit",
+        [
+          Alcotest.test_case "rule" `Quick test_group_commit_rule;
+          Alcotest.test_case "failed drive barrier" `Quick test_drive_failed_barrier_rewrites_batch;
+        ] );
       ( "client",
         [
           Alcotest.test_case "rpc costs time" `Quick test_client_rpc_costs_time;
           Alcotest.test_case "bandwidth" `Quick test_client_payload_costs_bandwidth;
-          Alcotest.test_case "call_exn" `Quick test_client_call_exn;
+          Alcotest.test_case "error response" `Quick test_client_error_response;
         ] );
     ]

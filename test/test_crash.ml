@@ -17,6 +17,7 @@ module Throttle = S4.Throttle
 module Crashtest = S4_tools.Crashtest
 
 let check = Alcotest.check
+let handle d = S4.Backend.handle (Drive.backend d)
 let small_geom = Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(16 * 1024 * 1024)
 
 let mk_disk () =
@@ -76,10 +77,10 @@ let test_drive_retries_transient () =
   let disk, d = mk_drive () in
   let pol = Fault.create (Rng.create ~seed:1) in
   Sim_disk.set_fault disk (Some pol);
-  let oid = expect_oid (Drive.handle d admin (Rpc.Create { acl = [] })) in
-  expect_unit (Drive.handle d admin (write_req oid "survives transient faults"));
+  let oid = expect_oid (handle d admin (Rpc.Create { acl = [] })) in
+  expect_unit (handle d admin (write_req oid "survives transient faults"));
   Fault.fail_next pol ~writes:2 ~transient:true;
-  expect_unit (Drive.handle d admin Rpc.Sync);
+  expect_unit (handle d admin Rpc.Sync);
   check Alcotest.bool "retried" true ((Log.stats (Drive.log d)).Log.io_retries >= 2);
   check Alcotest.int "no io errors" 0 (Drive.io_errors d);
   check Alcotest.bool "not degraded" false (Drive.degraded d)
@@ -88,10 +89,10 @@ let test_drive_surfaces_permanent () =
   let disk, d = mk_drive () in
   let pol = Fault.create (Rng.create ~seed:2) in
   Sim_disk.set_fault disk (Some pol);
-  let oid = expect_oid (Drive.handle d admin (Rpc.Create { acl = [] })) in
-  expect_unit (Drive.handle d admin (write_req oid "at risk"));
+  let oid = expect_oid (handle d admin (Rpc.Create { acl = [] })) in
+  expect_unit (handle d admin (write_req oid "at risk"));
   Fault.fail_next pol ~writes:1 ~transient:false;
-  (match Drive.handle d admin Rpc.Sync with
+  (match handle d admin Rpc.Sync with
    | Rpc.R_error (Rpc.Io_error _) -> ()
    | r -> Alcotest.failf "expected Io_error, got %a" Rpc.pp_resp r);
   check Alcotest.bool "degraded" true (Drive.degraded d);
@@ -100,8 +101,8 @@ let test_drive_surfaces_permanent () =
      without erasing the blocks that made it to disk before the fault
      (regression: the seed flush restarted from scratch and stored
      empty contents over already-flushed slots). *)
-  expect_unit (Drive.handle d admin Rpc.Sync);
-  (match Drive.handle d admin (Rpc.Read { oid; off = 0; len = 7; at = None }) with
+  expect_unit (handle d admin Rpc.Sync);
+  (match handle d admin (Rpc.Read { oid; off = 0; len = 7; at = None }) with
    | Rpc.R_data b -> check Alcotest.string "data intact" "at risk" (Bytes.to_string b)
    | r -> Alcotest.failf "read: %a" Rpc.pp_resp r)
 

@@ -23,6 +23,7 @@ module Campaign = S4_tools.Campaign
 module Store = S4_store.Obj_store
 
 let check = Alcotest.check
+let handle d = S4.Backend.handle (Drive.backend d)
 let qtest = Qseed.qtest
 
 let geom mb = Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(mb * 1024 * 1024)
@@ -117,7 +118,7 @@ let test_mark_roundtrip_single () =
      (legitimate) history is appended. *)
   tick clock;
   ignore (write_file tr "etc/passwd" "root:x:0:0:again");
-  (match Drive.handle drive Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
+  (match handle drive Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
   let lm2 = Landmark.of_target target in
   (match Landmark.find_mark lm2 "clean" with
    | None -> Alcotest.fail "mark lost across handles"
@@ -157,14 +158,14 @@ let test_mark_array_heads () =
 let test_landmark_create_poisoned_index () =
   let _, drive, target, _ = mk_single () in
   let oid =
-    match Drive.handle drive Rpc.admin_cred (Rpc.Create { acl = [] }) with
+    match handle drive Rpc.admin_cred (Rpc.Create { acl = [] }) with
     | Rpc.R_oid oid -> oid
     | r -> Alcotest.failf "create: %a" Rpc.pp_resp r
   in
-  (match Drive.handle drive Rpc.admin_cred (Rpc.P_create { name = "landmarks"; oid }) with
+  (match handle drive Rpc.admin_cred (Rpc.P_create { name = "landmarks"; oid }) with
    | Rpc.R_unit -> ()
    | r -> Alcotest.failf "pcreate: %a" Rpc.pp_resp r);
-  (match Drive.handle drive Rpc.admin_cred (Rpc.Delete { oid }) with
+  (match handle drive Rpc.admin_cred (Rpc.Delete { oid }) with
    | Rpc.R_unit -> ()
    | r -> Alcotest.failf "delete: %a" Rpc.pp_resp r);
   match Landmark.of_target target with
@@ -182,7 +183,7 @@ let test_denied_ops_reported () =
   let clock, drive, target, _ = mk_single () in
   let secret =
     match
-      Drive.handle drive Rpc.admin_cred (Rpc.Create { acl = [ Acl.owner_entry ~user:2 ] })
+      handle drive Rpc.admin_cred (Rpc.Create { acl = [ Acl.owner_entry ~user:2 ] })
     with
     | Rpc.R_oid oid -> oid
     | r -> Alcotest.failf "create: %a" Rpc.pp_resp r
@@ -191,11 +192,11 @@ let test_denied_ops_reported () =
   let since = Simclock.now clock in
   tick clock;
   let snoop = Rpc.user_cred ~user:1 ~client:5 in
-  (match Drive.handle drive snoop (Rpc.Read { oid = secret; off = 0; len = 16; at = None }) with
+  (match handle drive snoop (Rpc.Read { oid = secret; off = 0; len = 16; at = None }) with
    | Rpc.R_error Rpc.Permission_denied -> ()
    | r -> Alcotest.failf "read should be denied: %a" Rpc.pp_resp r);
   (match
-     Drive.handle drive snoop
+     handle drive snoop
        (Rpc.Write { oid = secret; off = 0; len = 3; data = Some (Bytes.of_string "led") })
    with
    | Rpc.R_error Rpc.Permission_denied -> ()
@@ -297,7 +298,7 @@ let apply_op clock target tr (kind, (a, b)) =
      (match Translator.lookup_path tr p with
       | Ok (fh, _) ->
         ignore
-          (Target.handle target Rpc.admin_cred
+          (S4.Backend.handle (Target.backend target) Rpc.admin_cred
              (Rpc.Set_acl
                 { oid = fh; index = b mod 2; entry = Acl.owner_entry ~user:(1 + (a mod 3)) }))
       | Error _ -> ()));
@@ -371,7 +372,7 @@ let prop_attribution_exact =
     (fun script ->
       let clock, drive, target, _ = mk_single ~mb:32 () in
       let mk_obj acl =
-        match Drive.handle drive Rpc.admin_cred (Rpc.Create { acl }) with
+        match handle drive Rpc.admin_cred (Rpc.Create { acl }) with
         | Rpc.R_oid oid -> oid
         | r -> Alcotest.failf "create: %a" Rpc.pp_resp r
       in
@@ -400,7 +401,7 @@ let prop_attribution_exact =
           let expect_denied = oid = other in
           match kind with
           | 0 ->
-            (match Drive.handle drive cred (Rpc.Read { oid; off = 0; len = 8; at = None }) with
+            (match handle drive cred (Rpc.Read { oid; off = 0; len = 8; at = None }) with
              | Rpc.R_data _ when not expect_denied ->
                bump cred oid (fun (r, w, d) -> (r + 1, w, d))
              | Rpc.R_error Rpc.Permission_denied when expect_denied ->
@@ -408,7 +409,7 @@ let prop_attribution_exact =
              | r -> Alcotest.failf "read: %a" Rpc.pp_resp r)
           | _ ->
             (match
-               Drive.handle drive cred
+               handle drive cred
                  (Rpc.Write { oid; off = 0; len = 4; data = Some (Bytes.of_string "data") })
              with
              | Rpc.R_unit when not expect_denied ->

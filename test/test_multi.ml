@@ -31,41 +31,43 @@ let expect_unit = function
   | Rpc.R_unit -> ()
   | r -> Alcotest.failf "expected unit, got %a" Rpc.pp_resp r
 
+let handle m cred req = (Mirror.submit m cred [| req |]).(0)
+
 let read_str ?at m oid =
-  match Mirror.handle m alice (Rpc.Read { oid; off = 0; len = 1 lsl 16; at }) with
+  match handle m alice (Rpc.Read { oid; off = 0; len = 1 lsl 16; at }) with
   | Rpc.R_data b -> Bytes.to_string b
   | r -> Alcotest.failf "read: %a" Rpc.pp_resp r
 
 let write m oid s =
   expect_unit
-    (Mirror.handle m alice (Rpc.Write { oid; off = 0; len = String.length s; data = Some (Bytes.of_string s) }))
+    (handle m alice (Rpc.Write { oid; off = 0; len = String.length s; data = Some (Bytes.of_string s) }))
 
 (* --- Mirror ----------------------------------------------------------- *)
 
 let test_mirror_basic () =
   let _, m = mk_mirror () in
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m oid "mirrored data";
   check Alcotest.string "read" "mirrored data" (read_str m oid);
   check (Alcotest.list Alcotest.string) "replicas agree" [] (Mirror.divergence m);
   (* Both replicas really hold the data. *)
   List.iter
     (fun r ->
-      match Drive.handle (Mirror.drive m r) alice (Rpc.Read { oid; off = 0; len = 13; at = None }) with
+      match S4.Backend.handle (Drive.backend (Mirror.drive m r)) alice (Rpc.Read { oid; off = 0; len = 13; at = None }) with
       | Rpc.R_data b -> check Alcotest.string "replica copy" "mirrored data" (Bytes.to_string b)
       | resp -> Alcotest.failf "replica read: %a" Rpc.pp_resp resp)
     [ Mirror.Primary; Mirror.Secondary ]
 
 let test_mirror_identical_oids () =
   let _, m = mk_mirror () in
-  let a = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
-  let b = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let a = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
+  let b = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   check Alcotest.bool "distinct" true (a <> b);
   check (Alcotest.list Alcotest.string) "agree" [] (Mirror.divergence m)
 
 let test_mirror_secondary_failure_and_resync () =
   let _, m = mk_mirror () in
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m oid "before failure";
   Mirror.set_failed m Mirror.Secondary true;
   write m oid "during failure!";
@@ -80,7 +82,7 @@ let test_mirror_secondary_failure_and_resync () =
 
 let test_mirror_primary_failover () =
   let clock, m = mk_mirror () in
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m oid "v1";
   let t1 = Simclock.now clock in
   tick clock;
@@ -90,7 +92,7 @@ let test_mirror_primary_failover () =
      secondary, which holds the full history pool too. *)
   check Alcotest.string "current from secondary" "v2" (read_str m oid);
   check Alcotest.string "history from secondary" "v1"
-    (match Mirror.handle m Rpc.admin_cred (Rpc.Read { oid; off = 0; len = 2; at = Some t1 }) with
+    (match handle m Rpc.admin_cred (Rpc.Read { oid; off = 0; len = 2; at = Some t1 }) with
      | Rpc.R_data b -> Bytes.to_string b
      | r -> Alcotest.failf "history read: %a" Rpc.pp_resp r);
   (* Writes continue; the primary catches up on repair. *)
@@ -105,7 +107,7 @@ let test_mirror_create_during_failure_resync () =
   (* The journal records the oid the live replica resolved, so the
      replay recreates the object under the same id instead of asking
      the target's allocator for a fresh one. *)
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m oid "born degraded";
   Mirror.set_failed m Mirror.Secondary false;
   (match Mirror.resync m with
@@ -113,7 +115,7 @@ let test_mirror_create_during_failure_resync () =
    | Error e -> Alcotest.fail e);
   check (Alcotest.list Alcotest.string) "converged" [] (Mirror.divergence m);
   match
-    Drive.handle (Mirror.drive m Mirror.Secondary) alice
+    S4.Backend.handle (Drive.backend (Mirror.drive m Mirror.Secondary)) alice
       (Rpc.Read { oid; off = 0; len = 13; at = None })
   with
   | Rpc.R_data b -> check Alcotest.string "secondary copy under same oid" "born degraded" (Bytes.to_string b)
@@ -123,7 +125,7 @@ let test_mirror_both_failed () =
   let _, m = mk_mirror () in
   Mirror.set_failed m Mirror.Primary true;
   Mirror.set_failed m Mirror.Secondary true;
-  (match Mirror.handle m alice (Rpc.Create { acl = [] }) with
+  (match handle m alice (Rpc.Create { acl = [] }) with
    | Rpc.R_error (Rpc.Bad_request _) -> ()
    | r -> Alcotest.failf "expected failure, got %a" Rpc.pp_resp r);
   match Mirror.resync m with
@@ -132,7 +134,7 @@ let test_mirror_both_failed () =
 
 let test_mirror_divergence_detected () =
   let _, m = mk_mirror () in
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m oid "same";
   (* Corrupt the secondary behind the mirror's back. *)
   let rogue = Drive.store (Mirror.drive m Mirror.Secondary) in
@@ -143,18 +145,18 @@ let test_mirror_parallel_write_cost () =
   (* The mirrored write costs (simulated) time like a single-drive
      write: the secondary overlaps. *)
   let clock, m = mk_mirror () in
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   let t0 = Simclock.now clock in
   write m oid (String.make 8192 'p');
-  expect_unit (Mirror.handle m alice Rpc.Sync);
+  expect_unit (handle m alice Rpc.Sync);
   let mirrored = Int64.sub (Simclock.now clock) t0 in
   let clock2 = Simclock.create () in
   let single = Drive.format (Sim_disk.create ~geometry:(geom 64) clock2) in
-  let oid2 = expect_oid (Drive.handle single alice (Rpc.Create { acl = [] })) in
+  let oid2 = expect_oid (S4.Backend.handle (Drive.backend single) alice (Rpc.Create { acl = [] })) in
   let t0 = Simclock.now clock2 in
   expect_unit
-    (Drive.handle single alice (Rpc.Write { oid = oid2; off = 0; len = 8192; data = Some (Bytes.make 8192 'p') }));
-  expect_unit (Drive.handle single alice Rpc.Sync);
+    (S4.Backend.handle (Drive.backend single) alice (Rpc.Write { oid = oid2; off = 0; len = 8192; data = Some (Bytes.make 8192 'p') }));
+  expect_unit (S4.Backend.handle (Drive.backend single) alice Rpc.Sync);
   let solo = Int64.sub (Simclock.now clock2) t0 in
   (* Within 2.5x: the mirror pays double CPU but not double disk. *)
   check Alcotest.bool "no double disk charge" true
@@ -174,7 +176,7 @@ let mk_balanced ?mb () =
 
 let test_balanced_alternates () =
   let _, m = mk_balanced () in
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m oid "either replica";
   for _ = 1 to 4 do
     check Alcotest.string "balanced read" "either replica" (read_str m oid)
@@ -188,9 +190,9 @@ let test_balanced_freshness_mid_resync () =
      mutation could change must route to the authoritative replica;
      reads the journal cannot affect keep balancing. *)
   let _, m = mk_balanced () in
-  let stable = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let stable = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m stable "stable";
-  let fresh = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let fresh = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m fresh "fresh-v1";
   Mirror.set_failed m Mirror.Secondary true;
   write m fresh "fresh-v2";
@@ -223,7 +225,7 @@ let test_balanced_read_born_degraded () =
      every balanced read on that copy (a misroute would Not_found). *)
   let _, m = mk_balanced () in
   Mirror.set_failed m Mirror.Secondary true;
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m oid "born degraded";
   Mirror.set_failed m Mirror.Secondary false;
   for _ = 1 to 4 do
@@ -238,9 +240,9 @@ let test_balanced_read_fault_failover () =
   (* A permanent media fault on the replica serving a balanced read
      fails it over and the read is answered by the survivor. *)
   let _, m = mk_balanced () in
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m oid "survives faults";
-  expect_unit (Mirror.handle m alice Rpc.Sync);
+  expect_unit (handle m alice Rpc.Sync);
   let sdisk = S4_seglog.Log.disk (Drive.log (Mirror.drive m Mirror.Secondary)) in
   let policy =
     Fault.create ~config:{ Fault.quiet with Fault.read_fault_rate = 1.0 } (Rng.create ~seed:11)
@@ -268,12 +270,12 @@ let test_balanced_audit_reads_authoritative () =
      reads it itself served, the answer merges the peer's read-class
      records so the forensic trail covers BOTH halves of the split. *)
   let _, m = mk_balanced () in
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m oid "audited";
   ignore (read_str m oid);
   ignore (read_str m oid);
   let p0, s0 = Mirror.read_counts m in
-  (match Mirror.handle m Rpc.admin_cred (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
+  (match handle m Rpc.admin_cred (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
   | Rpc.R_audit rs ->
     check Alcotest.bool "audit non-empty" true (rs <> []);
     (* Both balanced reads appear, even though one was served by the
@@ -306,11 +308,11 @@ let test_balanced_failover_never_serves_stale () =
      silently serve pre-failure data. The mirror returns the fault's
      error instead. *)
   let _, m = mk_balanced () in
-  let oid = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
-  let stable = expect_oid (Mirror.handle m alice (Rpc.Create { acl = [] })) in
+  let oid = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
+  let stable = expect_oid (handle m alice (Rpc.Create { acl = [] })) in
   write m oid "v1";
   write m stable "steady";
-  expect_unit (Mirror.handle m alice Rpc.Sync);
+  expect_unit (handle m alice Rpc.Sync);
   (* Secondary misses the v2 write: it is now the lagging replica. *)
   Mirror.set_failed m Mirror.Secondary true;
   write m oid "v2";
@@ -328,14 +330,14 @@ let test_balanced_failover_never_serves_stale () =
   (* The journalled oid routes to the primary (freshness rule), the
      fault fails it over — and the survivor is stale for this oid, so
      the read must error rather than answer "v1". *)
-  (match Mirror.handle m alice (Rpc.Read { oid; off = 0; len = 2; at = None }) with
+  (match handle m alice (Rpc.Read { oid; off = 0; len = 2; at = None }) with
   | Rpc.R_error _ -> ()
   | Rpc.R_data b -> Alcotest.failf "stale data served after failover: %s" (Bytes.to_string b)
   | r -> Alcotest.failf "failover read: %a" Rpc.pp_resp r);
   check Alcotest.bool "faulty primary failed over" true (Mirror.is_failed m Mirror.Primary);
   (* While degraded, the same oid keeps erroring (sole live replica
      lags on it)... *)
-  (match Mirror.handle m alice (Rpc.Read { oid; off = 0; len = 2; at = None }) with
+  (match handle m alice (Rpc.Read { oid; off = 0; len = 2; at = None }) with
   | Rpc.R_error _ -> ()
   | r -> Alcotest.failf "degraded stale read: %a" Rpc.pp_resp r);
   (* ...but an oid the journal does not touch still serves. *)

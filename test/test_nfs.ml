@@ -290,7 +290,7 @@ let test_versioning_through_nfs () =
   let t1 = Simclock.now clock in
   Simclock.advance clock 1_000_000L;
   ignore (write tr f 0 "draft TWO");
-  (match Drive.handle drive Rpc.admin_cred (Rpc.Read { oid = f; off = 0; len = 9; at = Some t1 }) with
+  (match S4.Backend.handle (Drive.backend drive) Rpc.admin_cred (Rpc.Read { oid = f; off = 0; len = 9; at = Some t1 }) with
    | Rpc.R_data b -> check Alcotest.string "old draft via S4" "draft one" (Bytes.to_string b)
    | _ -> Alcotest.fail "time-based read");
   check Alcotest.string "current via NFS" "draft TWO" (read tr f 0 9)

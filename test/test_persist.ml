@@ -16,6 +16,7 @@ module Crashtest = S4_tools.Crashtest
 module History = S4_tools.History
 
 let check = Alcotest.check
+let handle d = S4.Backend.handle (Drive.backend d)
 let qtest = Qseed.qtest
 let cred = Rpc.admin_cred
 
@@ -194,12 +195,12 @@ let test_file_backed_survives_no_save () =
       let oid =
         let disk = Sim_disk.of_file (File_disk.create ~path (geom 16)) in
         let drive = Drive.format disk in
-        let oid = oid_die (Drive.handle drive cred (Rpc.Create { acl = [] })) in
+        let oid = oid_die (handle drive cred (Rpc.Create { acl = [] })) in
         let data = Bytes.of_string "synced and acked" in
         unit_die "write"
-          (Drive.handle drive cred
+          (handle drive cred
              (Rpc.Write { oid; off = 0; len = Bytes.length data; data = Some data }));
-        unit_die "sync" (Drive.handle drive cred Rpc.Sync);
+        unit_die "sync" (handle drive cred Rpc.Sync);
         (* No Disk_image.save, no Log.sync: the process just dies. *)
         Sim_disk.close disk;
         oid
@@ -208,7 +209,7 @@ let test_file_backed_survives_no_save () =
       ignore clock2;
       let drive2 = Drive.attach disk2 in
       check (Alcotest.list Alcotest.string) "fsck clean" [] (Drive.fsck drive2);
-      (match Drive.handle drive2 cred (Rpc.Read { oid; off = 0; len = 16; at = None }) with
+      (match handle drive2 cred (Rpc.Read { oid; off = 0; len = 16; at = None }) with
        | Rpc.R_data b -> check Alcotest.string "acked write survived" "synced and acked"
                            (Bytes.to_string b)
        | r -> Alcotest.failf "read after reopen: %a" Rpc.pp_resp r);
@@ -222,7 +223,7 @@ let test_mem_file_equivalence () =
         let drive = Drive.format disk in
         let rng = Rng.create ~seed:7 in
         let oids =
-          Array.init 4 (fun _ -> oid_die (Drive.handle drive cred (Rpc.Create { acl = [] })))
+          Array.init 4 (fun _ -> oid_die (handle drive cred (Rpc.Create { acl = [] })))
         in
         for i = 0 to 99 do
           let oid = oids.(Rng.int rng 4) in
@@ -234,11 +235,11 @@ let test_mem_file_equivalence () =
             | 2 -> Rpc.Truncate { oid; size = Rng.int rng 8192 }
             | _ -> Rpc.Sync
           in
-          match Drive.handle drive cred req with
+          match handle drive cred req with
           | Rpc.R_error e -> Alcotest.failf "op %d: %a" i Rpc.pp_error e
           | _ -> ()
         done;
-        unit_die "final sync" (Drive.handle drive cred Rpc.Sync)
+        unit_die "final sync" (handle drive cred Rpc.Sync)
       in
       let mem = Sim_disk.create ~geometry:(geom 16) (Simclock.create ()) in
       workload mem;
@@ -258,14 +259,14 @@ let test_recovery_clock_monotone () =
       let oid =
         let disk = Sim_disk.of_file (File_disk.create ~path (geom 16)) in
         let drive = Drive.format disk in
-        let oid = oid_die (Drive.handle drive cred (Rpc.Create { acl = [] })) in
-        unit_die "sync" (Drive.handle drive cred Rpc.Sync);
+        let oid = oid_die (handle drive cred (Rpc.Create { acl = [] })) in
+        unit_die "sync" (handle drive cred Rpc.Sync);
         (* Enough unsynced appends to fill and close log segments: their
            journal blocks hit the file with no barrier behind them. *)
         let chunk = Bytes.make 4096 'j' in
         for _ = 1 to 300 do
           unit_die "append"
-            (Drive.handle drive cred (Rpc.Append { oid; len = 4096; data = Some chunk }))
+            (handle drive cred (Rpc.Append { oid; len = 4096; data = Some chunk }))
         done;
         Sim_disk.close disk;
         oid
@@ -285,7 +286,7 @@ let test_recovery_clock_monotone () =
       (* New mutations must get strictly newer times than everything
          recovered. *)
       let before = Simclock.now clock2 in
-      let oid2 = oid_die (Drive.handle drive2 cred (Rpc.Create { acl = [] })) in
+      let oid2 = oid_die (handle drive2 cred (Rpc.Create { acl = [] })) in
       ignore oid2;
       check Alcotest.bool "clock advances" true (Simclock.now clock2 > before);
       Sim_disk.close disk2)

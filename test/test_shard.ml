@@ -39,15 +39,17 @@ let expect_unit = function
   | Rpc.R_unit -> ()
   | r -> Alcotest.failf "expected unit, got %a" Rpc.pp_resp r
 
-let create r = expect_oid (Router.handle r alice (Rpc.Create { acl = [] }))
+let handle r = S4.Backend.handle (Router.backend r)
+
+let create r = expect_oid (handle r alice (Rpc.Create { acl = [] }))
 
 let write r oid s =
   expect_unit
-    (Router.handle r alice
+    (handle r alice
        (Rpc.Write { oid; off = 0; len = String.length s; data = Some (Bytes.of_string s) }))
 
 let read_str ?at r oid =
-  match Router.handle r alice (Rpc.Read { oid; off = 0; len = 1 lsl 16; at }) with
+  match handle r alice (Rpc.Read { oid; off = 0; len = 1 lsl 16; at }) with
   | Rpc.R_data b -> Bytes.to_string b
   | r -> Alcotest.failf "read: %a" Rpc.pp_resp r
 
@@ -132,13 +134,14 @@ let test_single_shard_matches_bare_drive () =
   let bare = mk_drive (Simclock.create ()) in
   let _, router = mk_array 1 in
   (* Same creates produce the same oids on both sides. *)
-  let boids = List.init 4 (fun _ -> expect_oid (Drive.handle bare alice (Rpc.Create { acl = [] }))) in
+  let bare_b = Drive.backend bare in
+  let boids = List.init 4 (fun _ -> expect_oid (S4.Backend.handle bare_b alice (Rpc.Create { acl = [] }))) in
   let roids = List.init 4 (fun _ -> create router) in
   check (Alcotest.list Alcotest.int64) "oid allocation" boids roids;
   List.iter
     (fun req ->
-      let rb = Drive.handle bare alice req in
-      let rr = Router.handle router alice req in
+      let rb = S4.Backend.handle bare_b alice req in
+      let rr = handle router alice req in
       check Alcotest.string
         (Format.asprintf "response to %s" (Rpc.op_name req))
         (resp_string rb) (resp_string rr))
@@ -162,8 +165,8 @@ let test_single_shard_matches_bare_drive () =
       List.iter
         (fun (e : S4_store.Entry.t) ->
           let at = Some e.S4_store.Entry.time in
-          let rb = Drive.handle bare alice (Rpc.Read { oid; off = 0; len = 1 lsl 16; at }) in
-          let rr = Router.handle router alice (Rpc.Read { oid; off = 0; len = 1 lsl 16; at }) in
+          let rb = S4.Backend.handle bare_b alice (Rpc.Read { oid; off = 0; len = 1 lsl 16; at }) in
+          let rr = handle router alice (Rpc.Read { oid; off = 0; len = 1 lsl 16; at }) in
           check Alcotest.string "historical read" (resp_string rb) (resp_string rr))
         vb)
     boids
@@ -177,12 +180,12 @@ let test_fanout_admin_and_audit () =
   (* Objects really spread over the members. *)
   let holders = List.sort_uniq compare (List.map (Router.shard_of router) oids) in
   if List.length holders < 2 then Alcotest.fail "all objects landed on one shard";
-  expect_unit (Router.handle router alice Rpc.Sync);
-  expect_unit (Router.handle router Rpc.admin_cred (Rpc.Set_window { window = 1_000_000_000L }));
-  expect_unit (Router.handle router Rpc.admin_cred (Rpc.Flush { until = 1L }));
+  expect_unit (handle router alice Rpc.Sync);
+  expect_unit (handle router Rpc.admin_cred (Rpc.Set_window { window = 1_000_000_000L }));
+  expect_unit (handle router Rpc.admin_cred (Rpc.Flush { until = 1L }));
   (* Audit fan-out merges every shard's records in time order and
      covers activity on every holding shard. *)
-  match Router.handle router Rpc.admin_cred (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
+  match handle router Rpc.admin_cred (Rpc.Read_audit { since = 0L; until = Int64.max_int }) with
   | Rpc.R_audit records ->
     if List.length records < List.length oids then
       Alcotest.failf "audit too small: %d records" (List.length records);
@@ -220,11 +223,11 @@ let test_degraded_shard_reporting () =
   Sim_disk.set_fault (shard_disk router 1) (Some policy);
   Fault.fail_next policy ~writes:100 ~transient:false;
   (match
-     Router.handle router alice ~sync:true
-       (Rpc.Write { oid = victim; off = 0; len = 64; data = Some (Bytes.make 64 'x') })
+     Router.submit router alice ~sync:true
+       [| Rpc.Write { oid = victim; off = 0; len = 64; data = Some (Bytes.make 64 'x') } |]
    with
-  | Rpc.R_error (Rpc.Io_error _) -> ()
-  | r -> Alcotest.failf "expected Io_error, got %a" Rpc.pp_resp r);
+  | [| Rpc.R_error (Rpc.Io_error _) |] -> ()
+  | rs -> Alcotest.failf "expected Io_error, got %a" Rpc.pp_resp rs.(0));
   Sim_disk.set_fault (shard_disk router 1) None;
   check (Alcotest.list Alcotest.int) "degraded shard listed" [ 1 ] (Router.degraded_shards router);
   check Alcotest.bool "array degraded" true (Router.degraded router);
@@ -247,12 +250,29 @@ let test_mirrored_shard_fails_over () =
   Sim_disk.set_fault pdisk (Some policy);
   Fault.fail_next policy ~writes:100 ~transient:false;
   expect_unit
-    (Router.handle router alice ~sync:true
-       (Rpc.Write { oid = victim; off = 0; len = 10; data = Some (Bytes.of_string "new bytes!") }));
+    (Router.submit router alice ~sync:true
+       [| Rpc.Write { oid = victim; off = 0; len = 10; data = Some (Bytes.of_string "new bytes!") } |]).(0);
   Sim_disk.set_fault pdisk None;
   check (Alcotest.list Alcotest.int) "no degraded shards" [] (Router.degraded_shards router);
   check Alcotest.bool "mirror noticed the dead replica" true (Mirror.is_failed mirror Mirror.Primary);
   check Alcotest.string "data survived failover" "new bytes!" (read_str router victim)
+
+(* A synced one-request batch on a healthy array must leave the
+   integrity catalog in step with every member: the barrier pins each
+   member's chain head before sealing it. A member synced on its own,
+   behind the catalog's back, shows up as a stale catalog entry. *)
+let test_synced_request_keeps_catalog () =
+  let _, router = mk_array 2 in
+  let oid = oid_on router 0 in
+  write router oid "before";
+  ignore (Router.submit router alice ~sync:true [||]);
+  let w = Rpc.Write { oid; off = 0; len = 5; data = Some (Bytes.of_string "after") } in
+  expect_unit (Router.submit router alice ~sync:true [| w |]).(0);
+  check (Alcotest.list Alcotest.string) "fsck clean" [] (Router.fsck router);
+  match handle router Rpc.admin_cred (Rpc.Verify_log { from = None }) with
+  | Rpc.R_verify v ->
+    check (Alcotest.list Alcotest.string) "verify-log clean" [] v.S4_integrity.Chain.v_errors
+  | r -> Alcotest.failf "verify-log: %a" Rpc.pp_resp r
 
 (* --- Online rebalancing ----------------------------------------------- *)
 
@@ -263,7 +283,7 @@ let history router oid =
   List.filter_map
     (fun (e : S4_store.Entry.t) ->
       let at = Some e.S4_store.Entry.time in
-      match Router.handle router alice (Rpc.Read { oid; off = 0; len = 1 lsl 16; at }) with
+      match handle router alice (Rpc.Read { oid; off = 0; len = 1 lsl 16; at }) with
       | Rpc.R_data b ->
         Some (e.S4_store.Entry.time, Printf.sprintf "%d:%s" (Bytes.length b) (Digest.to_hex (Digest.bytes b)))
       | Rpc.R_error Rpc.Object_deleted | Rpc.R_error Rpc.Not_found ->
@@ -282,7 +302,7 @@ let test_rebalance_preserves_every_version () =
         Simclock.advance clock 1_000_000L)
       oids
   done;
-  expect_unit (Router.handle router alice Rpc.Sync);
+  expect_unit (handle router alice Rpc.Sync);
   let before = List.map (fun oid -> (oid, history router oid)) oids in
   (* Membership change: a third drive joins the live array. *)
   let queued = Router.add_shard router 2 (Router.Single (mk_drive clock)) in
@@ -317,7 +337,7 @@ let test_rebalance_preserves_every_version () =
   List.iter (fun oid -> write router oid "after rebalance") oids;
   List.iter
     (fun oid ->
-      match Router.handle router alice (Rpc.Read { oid; off = 0; len = 15; at = None }) with
+      match handle router alice (Rpc.Read { oid; off = 0; len = 15; at = None }) with
       | Rpc.R_data b ->
         check Alcotest.string "post-rebalance write" "after rebalance" (Bytes.to_string b)
       | r -> Alcotest.failf "post-rebalance read: %a" Rpc.pp_resp r)
@@ -328,8 +348,8 @@ let test_rebalance_preserves_deleted_versions () =
   let oid = oid_on router 0 in
   write router oid "short-lived";
   Simclock.advance clock 1_000_000L;
-  expect_unit (Router.handle router alice (Rpc.Delete { oid }));
-  expect_unit (Router.handle router alice Rpc.Sync);
+  expect_unit (handle router alice (Rpc.Delete { oid }));
+  expect_unit (handle router alice Rpc.Sync);
   let h = history router oid in
   (* Keep adding members (rebalancing each time) until the deleted
      object gets reassigned off its original home. Placement is
@@ -348,7 +368,7 @@ let test_rebalance_preserves_deleted_versions () =
     (Alcotest.list (Alcotest.pair Alcotest.int64 Alcotest.string))
     "deleted object's history survives the move" h (history router oid);
   (* Still deleted now. *)
-  match Router.handle router alice (Rpc.Read { oid; off = 0; len = 8; at = None }) with
+  match handle router alice (Rpc.Read { oid; off = 0; len = 8; at = None }) with
   | Rpc.R_error Rpc.Object_deleted | Rpc.R_error Rpc.Not_found -> ()
   | r -> Alcotest.failf "expected deleted, got %a" Rpc.pp_resp r
 
@@ -356,7 +376,7 @@ let test_overlapping_membership_changes () =
   let clock, router = mk_array 2 in
   let oids = List.init 24 (fun _ -> create router) in
   List.iteri (fun i oid -> write router oid (Printf.sprintf "payload %d" i)) oids;
-  expect_unit (Router.handle router alice Rpc.Sync);
+  expect_unit (handle router alice Rpc.Sync);
   (* First membership change; drain only part of its queue... *)
   let q1 = Router.add_shard router 2 (Router.Single (mk_drive clock)) in
   if q1 = 0 then Alcotest.fail "first add captured no objects";
@@ -385,7 +405,7 @@ let test_lagging_mirror_defers_migration () =
   let router = Router.create [ (0, Router.Mirrored mirror); (1, Router.Single (mk_drive clock)) ] in
   let oids = List.init 16 (fun _ -> create router) in
   List.iter (fun oid -> write router oid "v1") oids;
-  expect_unit (Router.handle router alice Rpc.Sync);
+  expect_unit (handle router alice Rpc.Sync);
   (* Fail the mirror's PRIMARY: the secondary becomes the authoritative
      replica; the primary's store is stale and owes every mutation
      below to the missed-op journal. *)
@@ -548,6 +568,7 @@ let () =
         [
           Alcotest.test_case "io-error shard reported" `Quick test_degraded_shard_reporting;
           Alcotest.test_case "mirrored shard fails over" `Quick test_mirrored_shard_fails_over;
+          Alcotest.test_case "synced request keeps catalog" `Quick test_synced_request_keeps_catalog;
         ] );
       ( "rebalance",
         [

@@ -15,6 +15,7 @@ module Diagnosis = S4_tools.Diagnosis
 module Target = S4_tools.Target
 
 let check = Alcotest.check
+let handle d = S4.Backend.handle (Drive.backend d)
 
 let geom mb = Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(mb * 1024 * 1024)
 
@@ -233,10 +234,10 @@ let test_landmark_survives_expiry () =
    | Error m -> Alcotest.fail m);
   (* Age everything out of the pool. *)
   Simclock.advance clock (Int64.mul 30L (Int64.mul 86_400L 1_000_000_000L));
-  ignore (Drive.handle drive Rpc.admin_cred (Rpc.Flush { until = Simclock.now clock }));
+  ignore (handle drive Rpc.admin_cred (Rpc.Flush { until = Simclock.now clock }));
   ignore (Drive.run_cleaner drive);
   (* The original version is gone from the pool... *)
-  (match Drive.handle drive Rpc.admin_cred (Rpc.Read { oid = fh; off = 0; len = 19; at = Some t_draft }) with
+  (match handle drive Rpc.admin_cred (Rpc.Read { oid = fh; off = 0; len = 19; at = Some t_draft }) with
    | Rpc.R_data b when Bytes.to_string b = "the important draft" ->
      Alcotest.fail "version should have aged out"
    | _ -> ());
@@ -282,15 +283,15 @@ let test_damage_report () =
   let clock, drive, _tr = mk () in
   let intruder = Rpc.user_cred ~user:13 ~client:666 in
   let oid =
-    match Drive.handle drive intruder (Rpc.Create { acl = [] }) with
+    match handle drive intruder (Rpc.Create { acl = [] }) with
     | Rpc.R_oid oid -> oid
     | _ -> Alcotest.fail "create"
   in
   let since = Simclock.now clock in
-  ignore (Drive.handle drive intruder (Rpc.Write { oid; off = 0; len = 4; data = Some (Bytes.of_string "evil") }));
+  ignore (handle drive intruder (Rpc.Write { oid; off = 0; len = 4; data = Some (Bytes.of_string "evil") }));
   tick clock;
-  ignore (Drive.handle drive intruder (Rpc.Read { oid; off = 0; len = 4; at = None }));
-  let report = Diagnosis.damage_report ~client:666 ~since ~until:Int64.max_int (Target.of_drive drive) in
+  ignore (handle drive intruder (Rpc.Read { oid; off = 0; len = 4; at = None }));
+  let report = Diagnosis.damage_report ~client:666 ~since ~until:Int64.max_int (Target.Drive drive) in
   (match List.find_opt (fun a -> a.Diagnosis.a_oid = oid) report with
    | Some a ->
      check Alcotest.bool "write counted" true (a.Diagnosis.a_writes >= 1);
@@ -298,26 +299,26 @@ let test_damage_report () =
    | None -> Alcotest.fail "object missing from report");
   (* Another client's view is empty. *)
   check Alcotest.int "innocent client clean" 0
-    (List.length (Diagnosis.damage_report ~client:1234 ~since ~until:Int64.max_int (Target.of_drive drive)))
+    (List.length (Diagnosis.damage_report ~client:1234 ~since ~until:Int64.max_int (Target.Drive drive)))
 
 let test_taint_edges () =
   let clock, drive, _ = mk () in
   let user = Rpc.user_cred ~user:5 ~client:50 in
   let mk_obj () =
-    match Drive.handle drive user (Rpc.Create { acl = [] }) with
+    match handle drive user (Rpc.Create { acl = [] }) with
     | Rpc.R_oid oid -> oid
     | _ -> Alcotest.fail "create"
   in
   let src = mk_obj () in
   let dst = mk_obj () in
-  ignore (Drive.handle drive user (Rpc.Write { oid = src; off = 0; len = 3; data = Some (Bytes.of_string "src") }));
+  ignore (handle drive user (Rpc.Write { oid = src; off = 0; len = 3; data = Some (Bytes.of_string "src") }));
   let since = Simclock.now clock in
   tick clock;
   (* Read src then promptly write dst: a compile-like dependency. *)
-  ignore (Drive.handle drive user (Rpc.Read { oid = src; off = 0; len = 3; at = None }));
+  ignore (handle drive user (Rpc.Read { oid = src; off = 0; len = 3; at = None }));
   Simclock.advance clock 100_000_000L;
-  ignore (Drive.handle drive user (Rpc.Write { oid = dst; off = 0; len = 3; data = Some (Bytes.of_string "out") }));
-  let edges = Diagnosis.taint_edges ~client:50 ~since ~until:Int64.max_int (Target.of_drive drive) in
+  ignore (handle drive user (Rpc.Write { oid = dst; off = 0; len = 3; data = Some (Bytes.of_string "out") }));
+  let edges = Diagnosis.taint_edges ~client:50 ~since ~until:Int64.max_int (Target.Drive drive) in
   check Alcotest.bool "src->dst edge found" true
     (List.exists (fun e -> e.Diagnosis.src = src && e.Diagnosis.dst = dst) edges)
 
@@ -325,17 +326,17 @@ let test_taint_horizon () =
   let clock, drive, _ = mk () in
   let user = Rpc.user_cred ~user:5 ~client:50 in
   let mk_obj () =
-    match Drive.handle drive user (Rpc.Create { acl = [] }) with
+    match handle drive user (Rpc.Create { acl = [] }) with
     | Rpc.R_oid oid -> oid
     | _ -> Alcotest.fail "create"
   in
   let src = mk_obj () and dst = mk_obj () in
   let since = Simclock.now clock in
-  ignore (Drive.handle drive user (Rpc.Read { oid = src; off = 0; len = 0; at = None }));
+  ignore (handle drive user (Rpc.Read { oid = src; off = 0; len = 0; at = None }));
   (* A long pause: outside the dependency horizon. *)
   Simclock.advance clock 60_000_000_000L;
-  ignore (Drive.handle drive user (Rpc.Write { oid = dst; off = 0; len = 1; data = Some (Bytes.of_string "x") }));
-  let edges = Diagnosis.taint_edges ~client:50 ~since ~until:Int64.max_int (Target.of_drive drive) in
+  ignore (handle drive user (Rpc.Write { oid = dst; off = 0; len = 1; data = Some (Bytes.of_string "x") }));
+  let edges = Diagnosis.taint_edges ~client:50 ~since ~until:Int64.max_int (Target.Drive drive) in
   check Alcotest.bool "no stale edge" false
     (List.exists (fun e -> e.Diagnosis.src = src && e.Diagnosis.dst = dst) edges)
 
@@ -344,17 +345,17 @@ let test_timeline_and_denials () =
   let alice = Rpc.user_cred ~user:1 ~client:1 in
   let bob = Rpc.user_cred ~user:2 ~client:2 in
   let oid =
-    match Drive.handle drive alice (Rpc.Create { acl = [] }) with
+    match handle drive alice (Rpc.Create { acl = [] }) with
     | Rpc.R_oid oid -> oid
     | _ -> Alcotest.fail "create"
   in
   let since = Simclock.now clock in
-  ignore (Drive.handle drive alice (Rpc.Write { oid; off = 0; len = 1; data = Some (Bytes.of_string "x") }));
-  ignore (Drive.handle drive bob (Rpc.Read { oid; off = 0; len = 1; at = None }));
+  ignore (handle drive alice (Rpc.Write { oid; off = 0; len = 1; data = Some (Bytes.of_string "x") }));
+  ignore (handle drive bob (Rpc.Read { oid; off = 0; len = 1; at = None }));
   (* denied *)
-  let tl = Diagnosis.timeline ~oid ~since ~until:Int64.max_int (Target.of_drive drive) in
+  let tl = Diagnosis.timeline ~oid ~since ~until:Int64.max_int (Target.Drive drive) in
   check Alcotest.bool "timeline has write" true (List.exists (fun r -> r.S4.Audit.op = "write") tl);
-  let denials = Diagnosis.suspicious_denials ~since ~until:Int64.max_int (Target.of_drive drive) in
+  let denials = Diagnosis.suspicious_denials ~since ~until:Int64.max_int (Target.Drive drive) in
   check Alcotest.bool "bob's probe flagged" true
     (List.exists (fun r -> r.S4.Audit.user = 2 && not r.S4.Audit.ok) denials)
 
