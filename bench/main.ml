@@ -1488,12 +1488,11 @@ module File_disk = S4_disk.File_disk
 module Crashtest = S4_tools.Crashtest
 
 (* The batch-16 sync-bound write workload from the group-commit sweep,
-   run over the three sector backings: in-memory (the simulation
-   baseline, no host I/O), file-backed (pwrite + one fsync per
-   barrier), and file-backed with O_DSYNC (every write synchronous).
-   Simulated time is identical across backings by construction — the
-   timing model doesn't know where sectors live — so the wall-clock
-   column is the durability price. *)
+   run over the two sector backings: in-memory (the simulation
+   baseline, no host I/O) and file-backed (pwrite + one fsync per
+   barrier). Simulated time is identical across backings by
+   construction — the timing model doesn't know where sectors live —
+   so the wall-clock column is the durability price. *)
 let persist () =
   Report.heading "Persist: sector-store backings under sync-bound writes (batch 16)";
   let total = if !full_scale then 2048 else 512 in
@@ -1545,11 +1544,6 @@ let persist () =
         fun () ->
           let path = Filename.temp_file "s4persist" ".s4" in
           let disk = Sim_disk.of_file (File_disk.create ~path pgeom) in
-          (disk, fun () -> (try Sys.remove path with Sys_error _ -> ())) );
-      ( "file-dsync",
-        fun () ->
-          let path = Filename.temp_file "s4persist" ".s4" in
-          let disk = Sim_disk.of_file (File_disk.create ~dsync:true ~path pgeom) in
           (disk, fun () -> (try Sys.remove path with Sys_error _ -> ())) );
     ]
   in
@@ -2144,7 +2138,7 @@ let experiments : (string * string * (unit -> unit)) list =
     ("net", "wire protocol: in-process vs loopback vs TCP + batch depth", net);
     ("batch", "vectored submission group-commit sweep, batch size 1..64", batch);
     ("integrity", "audit-chain seal overhead vs unsealed, batch size 1..64", integrity_bench);
-    ("persist", "sector-store backings: sim vs file vs file+O_DSYNC", persist);
+    ("persist", "sector-store backings: sim vs file", persist);
     ("kill9", "kill -9 a live server at random points; verify acked syncs", kill9);
     ("intrusion", "attacker campaigns: detect, attribute, roll back (oracle-gated)", intrusion);
     ("readscale", "read-path scale-out: replica reads, client cache, WFQ (oracle-gated)", readscale);

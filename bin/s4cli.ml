@@ -1,7 +1,7 @@
-(* s4cli: operate a self-securing drive stored in a host-file image.
+(* s4cli: operate a self-securing drive stored in a file-backed store.
 
-   The drive, its history pool and audit log live inside the image, so
-   the security properties can be explored interactively:
+   The drive, its history pool and audit log live inside the store
+   file, so the security properties can be explored interactively:
 
      s4cli format -i disk.img --size-mb 64
      s4cli write  -i disk.img /etc/passwd --data "root:x:0:0"
@@ -14,12 +14,13 @@
 
    With --connect HOST:PORT the data-path commands (write, cat, ls,
    rm, log, metrics) run against a live s4d daemon over the wire
-   protocol instead of opening a local image; history access (--at,
-   versions, restore, fsck, info, trace) needs the image. *)
+   protocol instead of opening a local store; history access (--at,
+   versions, restore, fsck, info, trace) needs the store. *)
 
 module Simclock = S4_util.Simclock
 module Geometry = S4_disk.Geometry
 module Sim_disk = S4_disk.Sim_disk
+module File_disk = S4_disk.File_disk
 module Drive = S4.Drive
 module Backend = S4.Backend
 module Rpc = S4.Rpc
@@ -43,13 +44,13 @@ let image_arg =
   Arg.(
     required
     & opt (some string) None
-    & info [ "i"; "image" ] ~docv:"FILE" ~doc:"Disk image file.")
+    & info [ "i"; "image" ] ~docv:"FILE" ~doc:"File-backed store (create with format).")
 
 let image_opt_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "i"; "image" ] ~docv:"FILE" ~doc:"Disk image file.")
+    & info [ "i"; "image" ] ~docv:"FILE" ~doc:"File-backed store (create with format).")
 
 let connect_arg =
   Arg.(
@@ -78,19 +79,32 @@ type session = {
   tr : Translator.t;
 }
 
+let die m =
+  prerr_endline ("error: " ^ m);
+  exit 1
+
+(* A missing, foreign or corrupt store is one "error: PATH: ..." line
+   and exit 1 (File_disk's own messages already start with the path). *)
 let open_session image user =
-  let clock, disk = S4_tools.Disk_image.load_any image in
-  let drive = Drive.attach disk in
+  let disk, drive =
+    try
+      let disk = Sim_disk.of_file (File_disk.open_file image) in
+      (disk, Drive.attach disk)
+    with
+    | Failure m -> die m
+    | Invalid_argument m -> die (image ^ ": " ^ m)
+    | Unix.Unix_error (e, _, _) -> die (image ^ ": " ^ Unix.error_message e)
+  in
+  let clock = Sim_disk.clock disk in
   let tr = Translator.mount ~cred:(Rpc.user_cred ~user ~client:1) (Translator.Local drive) in
   (* Each CLI invocation is a new instant. *)
   Simclock.advance clock (Simclock.of_seconds 1.0);
   { clock; disk; drive; tr }
 
-let close_session image s =
+let close_session s =
   (match Backend.handle (Drive.backend s.drive) Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
   Audit.flush (Drive.audit s.drive);
   Log.sync (Drive.log s.drive);
-  S4_tools.Disk_image.save_any image s.clock s.disk;
   Sim_disk.close s.disk
 
 (* --- remote sessions (s4cli --connect) -------------------------------- *)
@@ -157,22 +171,11 @@ let cmd_format =
   let window_days =
     Arg.(value & opt float 7.0 & info [ "window-days" ] ~doc:"Guaranteed detection window.")
   in
-  let file_backed =
-    Arg.(
-      value & flag
-      & info [ "file-backed" ]
-          ~doc:"Back sectors with the host file itself (pwrite + fsync barriers) instead of a \
-                serialized image: acknowledged writes then survive kill -9 of the daemon.")
-  in
-  let run image size_mb window_days file_backed =
+  let run image size_mb window_days =
     let geometry = Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(size_mb * 1024 * 1024) in
-    let clock, disk =
-      if file_backed then
-        let disk = Sim_disk.of_file (S4_disk.File_disk.create ~path:image geometry) in
-        (Sim_disk.clock disk, disk)
-      else
-        let clock = Simclock.create () in
-        (clock, Sim_disk.create ~geometry clock)
+    let disk =
+      try Sim_disk.of_file (File_disk.create ~path:image geometry)
+      with Unix.Unix_error (e, _, _) -> die (image ^ ": " ^ Unix.error_message e)
     in
     let config =
       { Drive.default_config with Drive.window = Simclock.of_seconds (window_days *. 86400.0) }
@@ -182,14 +185,16 @@ let cmd_format =
     ignore tr;
     Audit.flush (Drive.audit drive);
     Log.sync (Drive.log drive);
-    S4_tools.Disk_image.save_any image clock disk;
     Sim_disk.close disk;
-    Printf.printf "formatted %s: %d MB self-securing drive, %.1f-day window%s\n" image size_mb
+    Printf.printf "formatted %s: %d MB self-securing drive, %.1f-day window\n" image size_mb
       window_days
-      (if file_backed then " (file-backed)" else "")
   in
-  Cmd.v (Cmd.info "format" ~doc:"Create a fresh self-securing drive image.")
-    Term.(const run $ image_arg $ size_mb $ window_days $ file_backed)
+  Cmd.v
+    (Cmd.info "format"
+       ~doc:
+         "Create a fresh self-securing drive in a file-backed store: every write lands in the \
+          file and each Sync barrier fsyncs, so acknowledged writes survive kill -9.")
+    Term.(const run $ image_arg $ size_mb $ window_days)
 
 let cmd_write =
   let data = Arg.(value & opt (some string) None & info [ "data" ] ~docv:"STRING") in
@@ -222,7 +227,7 @@ let cmd_write =
               Printf.printf "wrote %d bytes to %s at t=%Ld\n" (Bytes.length contents) path
                 (Simclock.now s.clock))
         in
-        close_session image s;
+        close_session s;
         failed
       | T_remote (host, port) ->
         let r = open_remote ~user host port in
@@ -254,7 +259,7 @@ let cmd_cat =
          let h = History.create s.drive in
          print_bytes (or_die (History.cat_path h ~at path)));
       print_newline ();
-      close_session image s
+      close_session s
     | T_remote (host, port) ->
       if at <> None then begin
         prerr_endline "error: --at needs the history pool; run against the image";
@@ -283,7 +288,7 @@ let cmd_ls =
       let dir = or_die (History.resolve h ?at path) in
       let entries = or_die (History.ls h ?at dir) in
       List.iter (fun (e, a) -> print_dirent e a) entries;
-      close_session image s
+      close_session s
     | T_remote (host, port) ->
       if at <> None then begin
         prerr_endline "error: --at needs the history pool; run against the image";
@@ -331,7 +336,7 @@ let cmd_rm =
       | T_local image ->
         let s = open_session image user in
         let failed = rm_via s.tr paths in
-        close_session image s;
+        close_session s;
         failed
       | T_remote (host, port) ->
         let r = open_remote ~user host port in
@@ -354,7 +359,7 @@ let cmd_versions =
     List.iter (fun e -> Format.printf "  %a@." S4_store.Entry.pp e) entries;
     Printf.printf "version instants (pass to --at):\n";
     List.iter (fun t -> Printf.printf "  %Ld\n" t) (History.version_times h fh);
-    close_session image s
+    close_session s
   in
   Cmd.v
     (Cmd.info "versions" ~doc:"Show the retained version history of a file (admin).")
@@ -378,7 +383,7 @@ let cmd_log =
     | T_local image ->
       let s = open_session image 0 in
       print_audit (Backend.handle (Drive.backend s.drive) Rpc.admin_cred read_audit);
-      close_session image s
+      close_session s
     | T_remote (host, port) ->
       let r = open_remote ~user:0 host port in
       print_audit (Netclient.handle r.rclient Rpc.admin_cred read_audit);
@@ -396,7 +401,7 @@ let cmd_restore =
     let rec_ = Recovery.create s.drive in
     let report = or_die (Recovery.restore_tree rec_ ~at ~path) in
     Format.printf "%a@." Recovery.pp_report report;
-    close_session image s
+    close_session s
   in
   Cmd.v
     (Cmd.info "restore" ~doc:"Restore a subtree to a past instant (admin; copy-forward).")
@@ -416,7 +421,7 @@ let cmd_landmark =
       try S4_tools.Landmark.create s.drive
       with Failure m ->
         prerr_endline ("error: " ^ m);
-        close_session image s;
+        close_session s;
         exit 1
     in
     (match take with
@@ -434,7 +439,7 @@ let cmd_landmark =
            Printf.printf "  %S oid=%Ld at=%Ld (%d bytes archived in oid %Ld)\n" l.l_name
              l.l_source l.l_taken_at l.l_bytes l.l_object)
          lms);
-    close_session image s
+    close_session s
   in
   Cmd.v
     (Cmd.info "landmark"
@@ -460,26 +465,26 @@ let cmd_recover =
       try S4_tools.Landmark.create s.drive
       with Failure m ->
         prerr_endline ("error: " ^ m);
-        close_session image s;
+        close_session s;
         exit 1
     in
     (match S4_tools.Landmark.find_mark lm name with
      | None ->
        prerr_endline ("error: no mark named " ^ name);
-       close_session image s;
+       close_session s;
        exit 1
      | Some m ->
        (match S4_tools.Landmark.verify_since lm m with
         | Ok () -> Printf.printf "audit chain since mark %S verifies\n" name
         | Error errs ->
           List.iter (fun e -> prerr_endline ("error: " ^ e)) errs;
-          close_session image s;
+          close_session s;
           exit 1);
        let rec_ = Recovery.create s.drive in
        let report = or_die (Recovery.restore_tree rec_ ~at:m.S4_tools.Landmark.m_at ~path) in
        Format.printf "rolled back to %a@.%a@." S4_tools.Landmark.pp_mark m Recovery.pp_report
          report);
-    close_session image s
+    close_session s
   in
   Cmd.v
     (Cmd.info "recover"
@@ -496,7 +501,7 @@ let cmd_fsck =
      | errs ->
        List.iter print_endline errs;
        exit 1);
-    close_session image s
+    close_session s
   in
   Cmd.v (Cmd.info "fsck" ~doc:"Check drive invariants.") Term.(const run $ image_arg)
 
@@ -507,7 +512,7 @@ let cmd_info =
     Format.printf "%a@." Sim_disk.pp_stats s.disk;
     Printf.printf "simulated time: %Ld ns (%.2f days)\n" (Simclock.now s.clock)
       (Simclock.seconds s.clock /. 86400.0);
-    close_session image s
+    close_session s
   in
   Cmd.v (Cmd.info "info" ~doc:"Show drive statistics.") Term.(const run $ image_arg)
 
@@ -531,7 +536,7 @@ let cmd_trace =
      | vs ->
        List.iter (fun v -> Printf.printf "checker VIOLATION: %s\n" v) vs;
        exit 1);
-    close_session image s
+    close_session s
   in
   Cmd.v
     (Cmd.info "trace"
@@ -572,7 +577,7 @@ let cmd_metrics =
        | None -> ());
       Format.printf "%a" Metrics.pp ();
       Printf.printf "(%d spans recorded)\n" (Trace.count ());
-      close_session image s
+      close_session s
     | T_remote (host, port) ->
       let r = open_remote ~user host port in
       Metrics.reset ();
@@ -679,7 +684,7 @@ let cmd_verify_log =
       (match Backend.handle (Drive.backend s.drive) Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
       let newest = Audit.sealed_head (Drive.audit s.drive) in
       let clean = Chain.clean res in
-      close_session image s;
+      close_session s;
       finish ~state ~clean (if newest.Chain.records = 0 then None else Some newest)
     | T_remote (host, port) ->
       if lenient then begin

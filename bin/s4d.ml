@@ -1,15 +1,18 @@
-(* s4d: serve a self-securing drive image over the wire protocol.
+(* s4d: serve a self-securing drive over the wire protocol.
 
      s4cli format -i disk.img --size-mb 64
      s4d -i disk.img --port 7777 &
      s4cli --connect 127.0.0.1:7777 write /etc/passwd --data "root:x:0:0"
 
-   The daemon owns the image for its lifetime: it loads the drive at
-   startup, serves any number of concurrent client connections, and on
-   SIGINT/SIGTERM drains in-flight requests, flushes the audit log and
-   saves the image back before exiting. *)
+   The daemon owns the file-backed store for its lifetime: it attaches
+   the drive at startup (crash recovery, so a store left by kill -9
+   opens like any other), serves any number of concurrent client
+   connections, and on SIGINT/SIGTERM drains in-flight requests, then
+   flushes the audit log and runs a final barrier before exiting. *)
 
 module Simclock = S4_util.Simclock
+module Sim_disk = S4_disk.Sim_disk
+module File_disk = S4_disk.File_disk
 module Drive = S4.Drive
 module Backend = S4.Backend
 module Rpc = S4.Rpc
@@ -23,7 +26,7 @@ let image_arg =
   Arg.(
     required
     & opt (some string) None
-    & info [ "i"; "image" ] ~docv:"FILE" ~doc:"Disk image file (create with s4cli format).")
+    & info [ "i"; "image" ] ~docv:"FILE" ~doc:"File-backed store (create with s4cli format).")
 
 let host_arg =
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Listen address.")
@@ -63,13 +66,6 @@ let max_seconds_arg =
     & info [ "max-seconds" ] ~docv:"SECS"
         ~doc:"Exit (gracefully) after this long; for scripted runs.")
 
-let dsync_arg =
-  Arg.(
-    value & flag
-    & info [ "dsync" ]
-        ~doc:"Open a file-backed store with O_DSYNC (every write synchronous); ignored for \
-              serialized images.")
-
 let stop = ref false
 
 let install_signals () =
@@ -77,13 +73,22 @@ let install_signals () =
   (try Sys.set_signal Sys.sigint handler with Invalid_argument _ -> ());
   try Sys.set_signal Sys.sigterm handler with Invalid_argument _ -> ()
 
-let run image host port max_frame max_inflight max_batch no_admin max_seconds dsync =
-  if not (Sys.file_exists image) then begin
-    Printf.eprintf "error: no such image %s (create one with: s4cli format -i %s)\n" image image;
+let run image host port max_frame max_inflight max_batch no_admin max_seconds =
+  (* A missing, foreign or corrupt store is one "error: PATH: ..." line
+     and exit 1 (File_disk's own messages already start with the path). *)
+  let die m =
+    prerr_endline ("error: " ^ m);
     exit 1
-  end;
-  let clock, disk = S4_tools.Disk_image.load_any ~dsync image in
-  let drive = Drive.attach disk in
+  in
+  let disk, drive =
+    try
+      let disk = Sim_disk.of_file (File_disk.open_file image) in
+      (disk, Drive.attach disk)
+    with
+    | Failure m -> die m
+    | Invalid_argument m -> die (image ^ ": " ^ m)
+    | Unix.Unix_error (e, _, _) -> die (image ^ ": " ^ Unix.error_message e)
+  in
   let config =
     {
       Netserver.default_config with
@@ -111,13 +116,13 @@ let run image host port max_frame max_inflight max_batch no_admin max_seconds ds
   Printf.printf "s4d: shutting down (%d connections served)\n%!"
     (Netserver.connections listener);
   Netserver.shutdown listener;
-  (* The final flush must not fail silently: if any step errors, leave
-     the previous on-disk image intact (save is atomic; a file-backed
-     store keeps its last barrier) and exit nonzero so scripts notice. *)
+  (* The final flush must not fail silently: if any step errors, the
+     store keeps its last completed barrier; exit nonzero so scripts
+     notice. *)
   let fail fmt =
     Printf.ksprintf
       (fun s ->
-        Printf.eprintf "s4d: shutdown sync FAILED: %s (previous image kept)\n%!" s;
+        Printf.eprintf "s4d: shutdown sync FAILED: %s (last barrier kept)\n%!" s;
         exit 1)
       fmt
   in
@@ -129,10 +134,9 @@ let run image host port max_frame max_inflight max_batch no_admin max_seconds ds
   (try
      Audit.flush (Drive.audit drive);
      Log.sync (Drive.log drive);
-     S4_tools.Disk_image.save_any image clock disk;
-     S4_disk.Sim_disk.close disk
+     Sim_disk.close disk
    with e -> fail "%s" (Printexc.to_string e));
-  Printf.printf "s4d: image saved\n%!"
+  Printf.printf "s4d: store synced\n%!"
 
 let () =
   let doc = "network daemon for a simulated self-securing (S4) drive" in
@@ -140,6 +144,6 @@ let () =
   let term =
     Term.(
       const run $ image_arg $ host_arg $ port_arg $ max_frame_arg $ max_inflight_arg
-      $ max_batch_arg $ no_admin_arg $ max_seconds_arg $ dsync_arg)
+      $ max_batch_arg $ no_admin_arg $ max_seconds_arg)
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -15,7 +15,6 @@ type record = {
   ok : bool;
 }
 
-let magic_v1 = 0x5541 (* "AU": pre-chain blocks, still decodable *)
 let magic = 0x5542 (* "BU": chained blocks carrying start index + prior head *)
 let seal_magic = 0x5345 (* "ES": epoch seal *)
 
@@ -136,33 +135,24 @@ let encode_block block_size ~start ~prior records_chrono =
   Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
   out
 
-(* Decodes either block generation; chain info is [None] for v1. *)
+(* Decodes exactly the layout [encode_block] writes: records plus the
+   block's chain position (start index, prior head). *)
 let decode_block_chained b =
   let n = Bytes.length b in
-  if n < 18 then None
+  if n < 18 || Bcodec.get_u16 b 0 <> magic then None
   else begin
-    let m = Bcodec.get_u16 b 0 in
-    if m <> magic && m <> magic_v1 then None
+    let stored = Bcodec.get_u32 b (n - 4) in
+    let crc = Int32.to_int (Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
+    if stored <> crc then None
     else begin
-      let stored = Bcodec.get_u32 b (n - 4) in
-      let crc = Int32.to_int (Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-      if stored <> crc then None
-      else begin
-        try
-          let rd = Bcodec.reader ~pos:2 b in
-          let base = Bcodec.r_i64 rd in
-          let chain =
-            if m = magic then begin
-              let start = Bcodec.r_int rd in
-              let prior = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
-              Some (start, prior)
-            end
-            else None
-          in
-          let count = Bcodec.r_int rd in
-          Some (List.init count (fun _ -> r_record rd ~base), chain)
-        with Bcodec.Decode_error _ -> None
-      end
+      try
+        let rd = Bcodec.reader ~pos:2 b in
+        let base = Bcodec.r_i64 rd in
+        let start = Bcodec.r_int rd in
+        let prior = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
+        let count = Bcodec.r_int rd in
+        Some (List.init count (fun _ -> r_record rd ~base), (start, prior))
+      with Bcodec.Decode_error _ -> None
     end
   end
 
@@ -338,8 +328,7 @@ let on_move t ~old_addr ~new_addr =
    (uncharged) — verification is an offline examination, not workload
    I/O. A block the drive believes is live but no longer decodes is
    reported as Bad; seal-magic and record-magic blocks route to their
-   item kinds; v1 (pre-chain) blocks cannot be verified and are
-   flagged. *)
+   item kinds. *)
 let chain_items t =
   List.filter_map
     (fun (addr, tag) ->
@@ -350,12 +339,10 @@ let chain_items t =
         | Some s -> Some (Chain.Seal s)
         | None -> (
           match decode_block_chained b with
-          | Some (rs, Some (start, prior)) ->
+          | Some (rs, (start, prior)) ->
             Some
               (Chain.Block
                  { Chain.b_start = start; b_prior = prior; b_canons = List.map canonical rs })
-          | Some (_, None) ->
-            Some (Chain.Bad (Printf.sprintf "pre-chain audit block at addr %d (unverifiable)" addr))
           | None ->
             Some (Chain.Bad (Printf.sprintf "undecodable audit block at addr %d" addr))))
       | _ -> None)
@@ -380,12 +367,12 @@ let recover t =
         | None -> (
           match decode_block_chained b with
           | Some ([], _) -> ()
-          | Some (rs, chain) ->
+          | Some (rs, (start, prior)) ->
             let newest = List.fold_left (fun acc r -> max acc r.at) 0L rs in
             Log.mark_live t.log addr Tag.Audit;
             t.nrecords <- t.nrecords + List.length rs;
             t.blocks <- (addr, newest) :: t.blocks;
-            record_blocks := (chain, rs) :: !record_blocks
+            record_blocks := (start, prior, rs) :: !record_blocks
           | None -> ()))
       | _ -> ())
     (Log.all_tagged t.log);
@@ -401,12 +388,7 @@ let recover t =
      order. Anomalies (gaps, mismatched priors — verification's job to
      report) resync on each block's self-declared prior so the drive
      keeps a usable head for new records. *)
-  let chained_blocks =
-    List.filter_map
-      (function Some (start, prior), rs -> Some (start, prior, rs) | None, _ -> None)
-      !record_blocks
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
+  let chained_blocks = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !record_blocks in
   (match chained_blocks with
    | [] -> ()
    | (start0, prior0, _) :: _ ->

@@ -76,11 +76,12 @@ let detection_cutoff t =
 (* Superblock                                                          *)
 
 let superblock_magic = 0x5342_3453 (* "S4SB" *)
+let superblock_version = 1
 
 let write_superblock t =
   let w = Bcodec.writer () in
   Bcodec.w_u32 w superblock_magic;
-  Bcodec.w_u8 w 1 (* version *);
+  Bcodec.w_u8 w superblock_version;
   Bcodec.w_i64 w t.ptable_oid;
   Bcodec.w_i64 w (window t);
   Log.write_superblock t.log (Bcodec.contents w)
@@ -88,9 +89,8 @@ let write_superblock t =
 let read_superblock log =
   let b = Log.read_superblock log in
   let r = Bcodec.reader b in
-  if Bcodec.r_u32 r <> superblock_magic then None
+  if Bcodec.r_u32 r <> superblock_magic || Bcodec.r_u8 r <> superblock_version then None
   else begin
-    let _version = Bcodec.r_u8 r in
     let ptable_oid = Bcodec.r_i64 r in
     let window = Bcodec.r_i64 r in
     Some (ptable_oid, window)

@@ -49,7 +49,10 @@ val format : ?config:config -> S4_disk.Sim_disk.t -> t
 val attach : ?config:config -> S4_disk.Sim_disk.t -> t
 (** Crash recovery: rebuild the drive from on-disk state (segment
     summaries, journal blocks, checkpoints, audit blocks,
-    superblock). Unsynced pre-crash state is lost. *)
+    superblock). Unsynced pre-crash state is lost.
+    @raise Invalid_argument ["Drive.attach: no valid superblock"] if
+    the superblock's magic or version is not the one {!format}
+    writes. *)
 
 val submit : t -> Rpc.credential -> ?sync:bool -> Rpc.req array -> Rpc.resp array
 (** Process a batch of RPCs inside the perimeter. Each request gets

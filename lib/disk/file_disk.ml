@@ -16,10 +16,8 @@ let magic = "S4FDSK1\n"
 let header_bytes = 4096
 
 type t = {
-  path : string;
   fd : Unix.file_descr;
   geometry : Geometry.t;
-  dsync : bool;
   mutable clock_ns : int64;  (* as of the last completed barrier *)
   mutable head : Chain.head option;  (* sealed audit-chain head, ditto *)
   mutable syncs : int;
@@ -66,10 +64,9 @@ let really_pwrite fd ~off buf =
 
 (* ------------------------------------------------------------------ *)
 (* Format header: magic | u32 payload length | u32 CRC-32 of payload |
-   payload (geometry + barrier clock + optional sealed chain head),
-   zero-padded to [header_bytes]. The head field is absent entirely in
-   pre-integrity stores (payload ends after the clock), so old files
-   open unchanged. *)
+   payload (geometry + barrier clock + head flag + optional sealed chain
+   head), zero-padded to [header_bytes]. The decoder accepts exactly
+   this layout: a payload that ends early is corrupt. *)
 
 let encode_header ~geometry ~clock_ns ~head =
   let w = Bcodec.writer () in
@@ -104,11 +101,7 @@ let decode_header path b =
     let r = Bcodec.reader payload in
     let geometry = Geometry.decode r in
     let clock_ns = Bcodec.r_i64 r in
-    let head =
-      if Bcodec.remaining r = 0 then None
-      else if Bcodec.r_u8 r = 0 then None
-      else Some (Chain.read_head r)
-    in
+    let head = if Bcodec.r_u8 r = 0 then None else Some (Chain.read_head r) in
     (geometry, clock_ns, head)
   with
   | (_, clock_ns, _) when Int64.compare clock_ns 0L < 0 -> corrupt path "negative clock"
@@ -120,8 +113,6 @@ let write_header t =
 
 (* ------------------------------------------------------------------ *)
 
-let open_flags ~dsync base = if dsync then Unix.O_DSYNC :: base else base
-
 let fsync_dir path =
   match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> ()
@@ -132,12 +123,10 @@ let fsync_dir path =
 
 let full_size geometry = header_bytes + Geometry.capacity_bytes geometry
 
-let create ?(dsync = false) ~path geometry =
-  let fd =
-    Unix.openfile path (open_flags ~dsync [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ]) 0o644
-  in
+let create ~path geometry =
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let t =
-    { path; fd; geometry; dsync; clock_ns = 0L; head = None; syncs = 0; closed = false;
+    { fd; geometry; clock_ns = 0L; head = None; syncs = 0; closed = false;
       lock = Mutex.create () }
   in
   (try
@@ -153,8 +142,8 @@ let create ?(dsync = false) ~path geometry =
   fsync_dir path;
   t
 
-let open_file ?(dsync = false) path =
-  let fd = Unix.openfile path (open_flags ~dsync [ Unix.O_RDWR ]) 0o644 in
+let open_file path =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
   match
     let b = Bytes.make header_bytes '\000' in
     really_pread fd ~off:0 b;
@@ -166,7 +155,7 @@ let open_file ?(dsync = false) path =
        exactly as if never written. *)
     if (Unix.fstat fd).Unix.st_size < full_size geometry then
       Unix.ftruncate fd (full_size geometry);
-    { path; fd; geometry; dsync; clock_ns; head; syncs = 0; closed = false;
+    { fd; geometry; clock_ns; head; syncs = 0; closed = false;
       lock = Mutex.create () }
   | exception e ->
     Unix.close fd;
@@ -176,8 +165,6 @@ let geometry t = t.geometry
 let clock_ns t = t.clock_ns
 let head t = t.head
 let set_head t h = t.head <- h
-let path t = t.path
-let dsync t = t.dsync
 let syncs t = t.syncs
 
 let off_of t lba = header_bytes + (lba * t.geometry.Geometry.sector_size)
@@ -214,10 +201,7 @@ let sync t ~clock_ns =
   with_lock t (fun () ->
       t.clock_ns <- clock_ns;
       write_header t;
-      (* In O_DSYNC mode every pwrite — including the header rewrite
-         just issued — is already stable; the explicit flush is the
-         per-barrier cost of the buffered mode. *)
-      if not t.dsync then Unix.fsync t.fd;
+      Unix.fsync t.fd;
       t.syncs <- t.syncs + 1)
 
 let close t =

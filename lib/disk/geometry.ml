@@ -45,9 +45,8 @@ let modern_50gb =
 
 let capacity_bytes t = t.sectors * t.sector_size
 
-(* On-disk codec, shared by the host-file image format
-   (S4_tools.Disk_image) and the file-backed sector store header
-   (File_disk). *)
+(* On-disk codec of the geometry field in the file-backed sector store
+   header (File_disk). *)
 
 module Bcodec = S4_util.Bcodec
 

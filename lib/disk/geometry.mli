@@ -33,8 +33,8 @@ val with_capacity : t -> bytes:int -> t
 val capacity_bytes : t -> int
 
 val encode : S4_util.Bcodec.writer -> t -> unit
-(** Append the full geometry to a writer; the codec shared by the
-    serialized-image format and the file-backed store header. *)
+(** Append the full geometry to a writer; the codec of the geometry
+    field in the {!File_disk} header. *)
 
 val decode : S4_util.Bcodec.reader -> t
 (** @raise S4_util.Bcodec.Decode_error on truncation or an implausible

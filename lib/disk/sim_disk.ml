@@ -46,7 +46,7 @@ type t = {
   mutable head_provider : (unit -> S4_integrity.Chain.head option) option;
       (* the drive above registers this; barriers snapshot its result *)
   mutable saved_head : S4_integrity.Chain.head option;
-      (* device-held anchor as of the last barrier (or image load) *)
+      (* device-held anchor as of the last barrier (or file open) *)
 }
 
 let create ?(geometry = Geometry.cheetah_9gb) clock =
@@ -82,12 +82,10 @@ let of_file file =
 let file_backing t = match t.backing with File f -> Some f | Mem _ -> None
 
 let set_head_provider t f = t.head_provider <- Some f
-let current_head t = match t.head_provider with Some f -> f () | None -> t.saved_head
 let saved_head t = t.saved_head
-let set_saved_head t h = t.saved_head <- h
 
 let barrier t =
-  t.saved_head <- current_head t;
+  (match t.head_provider with Some f -> t.saved_head <- f () | None -> ());
   match t.backing with
   | Mem _ -> ()
   | File f ->

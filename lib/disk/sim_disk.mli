@@ -5,10 +5,11 @@
     that continue exactly where the previous one ended are recognised
     as sequential and pay transfer cost only.
 
-    Sector *contents* are stored sparsely and only when the caller
-    provides them: large timing-only experiments write without data and
-    read back zeroed sectors, while metadata structures and
-    content-carrying tests store real bytes. *)
+    Sector *contents* live either in memory, stored sparsely and only
+    when the caller provides them (large timing-only experiments write
+    without data and read back zeroed sectors), or in a
+    {!File_disk.t}, which is the only way a drive persists across
+    processes. *)
 
 type t
 
@@ -53,20 +54,14 @@ val barrier : t -> unit
 
     The drive above registers a provider for its sealed audit-chain
     head; every {!barrier} snapshots the provider's current value as
-    the device-held anchor (persisted in the {!File_disk} header, and
-    carried by {!S4_tools.Disk_image} saves). On reattach the anchor
-    cross-checks the recovered chain: a log rewound or rewritten behind
-    the device's back can no longer reproduce it. *)
+    the device-held anchor (persisted in the {!File_disk} header). On
+    reattach the anchor cross-checks the recovered chain: a log rewound
+    or rewritten behind the device's back can no longer reproduce
+    it. *)
 
 val set_head_provider : t -> (unit -> S4_integrity.Chain.head option) -> unit
-val current_head : t -> S4_integrity.Chain.head option
-(** The provider's live value ({!saved_head} when none is registered). *)
-
 val saved_head : t -> S4_integrity.Chain.head option
-(** Anchor as of the last barrier (or image load / file open). *)
-
-val set_saved_head : t -> S4_integrity.Chain.head option -> unit
-(** Used by image load to install the anchor carried in the image. *)
+(** Anchor as of the last barrier (or file open). *)
 
 val close : t -> unit
 (** Release the file backing's descriptor (no-op for memory). Not a

@@ -13,7 +13,7 @@ module Bcodec = S4_util.Bcodec
 type entry = { shard : int; replica : int; head : Chain.head; at : int64 }
 
 let magic = 0x5343 (* "CS" *)
-let version = 2 (* v2 added the [at] refresh stamp; v1 still decodes *)
+let version = 2
 
 let encode entries =
   let w = Bcodec.writer () in
@@ -34,22 +34,18 @@ let decode b =
   else
     try
       let r = Bcodec.reader b in
-      if Bcodec.r_u16 r <> magic then None
+      if Bcodec.r_u16 r <> magic || Bcodec.r_u8 r <> version then None
       else begin
-        let v = Bcodec.r_u8 r in
-        if v < 1 || v > version then None
-        else begin
-          let n = Bcodec.r_int r in
-          if n < 0 || n > Bcodec.remaining r then None
-          else
-            Some
-              (List.init n (fun _ ->
-                   let shard = Bcodec.r_int r in
-                   let replica = Bcodec.r_int r in
-                   let at = if v >= 2 then Bcodec.r_i64 r else 0L in
-                   let head = Chain.read_head r in
-                   { shard; replica; head; at }))
-        end
+        let n = Bcodec.r_int r in
+        if n < 0 || n > Bcodec.remaining r then None
+        else
+          Some
+            (List.init n (fun _ ->
+                 let shard = Bcodec.r_int r in
+                 let replica = Bcodec.r_int r in
+                 let at = Bcodec.r_i64 r in
+                 let head = Chain.read_head r in
+                 { shard; replica; head; at }))
       end
     with Bcodec.Decode_error _ -> None
 

@@ -329,8 +329,8 @@ let sync t =
   traced t "sync" ~bytes:0 (fun () ->
       flush_buffered t;
       (* On a file-backed disk this is the real durability point: fsync
-         (or nothing extra under O_DSYNC) after the buffered blocks
-         reach the backing file. Memory backings ignore it. *)
+         after the buffered blocks reach the backing file. Memory
+         backings ignore it. *)
       Sim_disk.barrier t.disk)
 
 let write_superblock t payload =

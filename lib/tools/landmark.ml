@@ -80,8 +80,7 @@ let encode_index landmarks marks =
       Bcodec.w_i64 w l.l_object;
       Bcodec.w_int w l.l_bytes)
     landmarks;
-  (* Cross-shard marks follow the per-object landmarks; indexes written
-     before marks existed simply end here. *)
+  (* Cross-shard marks follow the per-object landmarks. *)
   Bcodec.w_int w (List.length marks);
   List.iter
     (fun m ->
@@ -111,23 +110,20 @@ let decode_index b =
           let l_bytes = Bcodec.r_int r in
           { l_name; l_source; l_taken_at; l_object; l_bytes })
     in
+    let n = Bcodec.r_int r in
     let marks =
-      if Bcodec.remaining r = 0 then []
-      else begin
-        let n = Bcodec.r_int r in
-        List.init n (fun _ ->
-            let m_name = Bcodec.r_string r in
-            let m_at = Bcodec.r_i64 r in
-            let k = Bcodec.r_int r in
-            let m_heads =
-              List.init k (fun _ ->
-                  let sid = Bcodec.r_int r in
-                  let ri = Bcodec.r_int r in
-                  let head = Chain.read_head r in
-                  (sid, ri, head))
-            in
-            { m_name; m_at; m_heads })
-      end
+      List.init n (fun _ ->
+          let m_name = Bcodec.r_string r in
+          let m_at = Bcodec.r_i64 r in
+          let k = Bcodec.r_int r in
+          let m_heads =
+            List.init k (fun _ ->
+                let sid = Bcodec.r_int r in
+                let ri = Bcodec.r_int r in
+                let head = Chain.read_head r in
+                (sid, ri, head))
+          in
+          { m_name; m_at; m_heads })
     in
     (landmarks, marks)
   end
@@ -145,11 +141,16 @@ let read_whole t oid =
     read_size 65536
   | _ -> raise (Fail "getattr")
 
+(* An index that does not decode is refused, never read as empty: the
+   next [take] or [mark] would rewrite it without the entries it
+   holds. *)
 let load t =
-  try decode_index (read_whole t t.index_oid) with Fail _ | Bcodec.Decode_error _ -> ([], [])
+  try decode_index (read_whole t t.index_oid)
+  with Bcodec.Decode_error m -> raise (Fail ("corrupt landmark index: " ^ m))
 
-let list t = fst (load t)
-let marks t = snd (load t)
+let load_or_fail t = try load t with Fail m -> failwith ("Landmark: " ^ m)
+let list t = fst (load_or_fail t)
+let marks t = snd (load_or_fail t)
 
 let write_index t landmarks marks =
   let data = encode_index landmarks marks in
@@ -163,7 +164,8 @@ let find_mark t name = List.find_opt (fun m -> m.m_name = name) (marks t)
 
 let take t ~name ~at oid =
   try
-    if find t name <> None then err "landmark %S already exists" name
+    if List.exists (fun l -> l.l_name = name) (fst (load t)) then
+      err "landmark %S already exists" name
     else begin
       (* Preserve the version's contents and attributes. *)
       let attr =
@@ -196,9 +198,11 @@ let take t ~name ~at oid =
   with Fail m -> Error m
 
 let contents t name =
-  match find t name with
-  | None -> err "no landmark %S" name
-  | Some l -> (try Ok (read_whole t l.l_object) with Fail m -> Error m)
+  try
+    match List.find_opt (fun l -> l.l_name = name) (fst (load t)) with
+    | None -> err "no landmark %S" name
+    | Some l -> Ok (read_whole t l.l_object)
+  with Fail m -> Error m
 
 let restore_to t name target =
   match contents t name with
@@ -216,17 +220,17 @@ let restore_to t name target =
 (* --- cross-shard marks ------------------------------------------------ *)
 
 let mark t ~name =
-  if find_mark t name <> None then err "mark %S already exists" name
-  else
-    match Target.landmark_barrier t.target with
-    | Error m -> Error m
-    | Ok heads ->
-      let m = { m_name = name; m_at = Simclock.now (Target.clock t.target); m_heads = heads } in
-      (try
-         let lms, mks = load t in
-         write_index t lms (m :: mks);
-         Ok m
-       with Fail e -> Error e)
+  try
+    if List.exists (fun m -> m.m_name = name) (snd (load t)) then err "mark %S already exists" name
+    else
+      match Target.landmark_barrier t.target with
+      | Error m -> Error m
+      | Ok heads ->
+        let m = { m_name = name; m_at = Simclock.now (Target.clock t.target); m_heads = heads } in
+        let lms, mks = load t in
+        write_index t lms (m :: mks);
+        Ok m
+  with Fail e -> Error e
 
 let verify_since t (m : mark) =
   let entries = Target.members t.target in

@@ -56,7 +56,10 @@ val take : t -> name:string -> at:int64 -> int64 -> (landmark, string) result
     already used or the version is no longer in the pool. *)
 
 val list : t -> landmark list
-(** All landmarks, newest first. *)
+(** All landmarks, newest first.
+    @raise Failure if the index object cannot be read or does not
+    decode; {!take}, {!contents}, {!restore_to} and {!mark} return
+    that as [Error]. *)
 
 val find : t -> string -> landmark option
 
@@ -78,7 +81,7 @@ val mark : t -> name:string -> (mark, string) result
     if the name is taken or any member's barrier failed. *)
 
 val marks : t -> mark list
-(** All marks, newest first. *)
+(** All marks, newest first. @raise Failure as {!list}. *)
 
 val find_mark : t -> string -> mark option
 

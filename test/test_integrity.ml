@@ -262,9 +262,9 @@ let test_catalog_find_set () =
     ((Catalog.find_entry e ~shard:2 ~replica:1 |> Option.get).Catalog.at = 20L);
   check Alcotest.bool "miss" true (Catalog.find e ~shard:0 ~replica:0 = None)
 
-let test_catalog_v1_decode () =
-  (* A pre-[at] catalog (codec v1) must still decode: entries surface
-     with [at = 0], i.e. "age unknown, from the beginning of time". *)
+let test_catalog_v1_refused () =
+  (* A pre-[at] catalog (codec v1) is refused: decode reads only the
+     layout [encode] writes. *)
   let w = S4_util.Bcodec.writer () in
   S4_util.Bcodec.w_u16 w 0x5343;
   S4_util.Bcodec.w_u8 w 1;
@@ -272,12 +272,8 @@ let test_catalog_v1_decode () =
   S4_util.Bcodec.w_int w 3;
   S4_util.Bcodec.w_int w 0;
   Chain.write_head w Chain.genesis;
-  match Catalog.decode (S4_util.Bcodec.contents w) with
-  | Some [ e ] ->
-    check Alcotest.int "shard" 3 e.Catalog.shard;
-    check Alcotest.int "replica" 0 e.Catalog.replica;
-    check Alcotest.bool "at defaults to 0" true (Int64.equal e.Catalog.at 0L)
-  | _ -> Alcotest.fail "v1 catalog did not decode"
+  check Alcotest.bool "v1 catalog refused" true
+    (Catalog.decode (S4_util.Bcodec.contents w) = None)
 
 let test_catalog_prune_ages_floors () =
   (* Floors for departed members age out of the detection window;
@@ -337,7 +333,7 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick test_catalog_reject_garbage;
           Alcotest.test_case "check statuses" `Quick test_catalog_check_statuses;
           Alcotest.test_case "find/set" `Quick test_catalog_find_set;
-          Alcotest.test_case "v1 layout decodes (at = 0)" `Quick test_catalog_v1_decode;
+          Alcotest.test_case "v1 layout refused" `Quick test_catalog_v1_refused;
           Alcotest.test_case "pruning ages departed floors" `Quick test_catalog_prune_ages_floors;
         ] );
       ( "tamper",

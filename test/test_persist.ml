@@ -1,6 +1,6 @@
-(* Tests for real persistence: the file-backed sector store, the
-   checksummed serialized-image format with atomic save, and recovery
-   after a genuine kill -9 of a serving process. *)
+(* Tests for real persistence: the file-backed sector store, refusal
+   of every retired on-disk layout, and recovery after a genuine
+   kill -9 of a serving process. *)
 
 module Simclock = S4_util.Simclock
 module Rng = S4_util.Rng
@@ -11,13 +11,14 @@ module Log = S4_seglog.Log
 module Drive = S4.Drive
 module Rpc = S4.Rpc
 module Audit = S4.Audit
-module Disk_image = S4_tools.Disk_image
+module Landmark = S4_tools.Landmark
+module Bcodec = S4_util.Bcodec
+module Crc32 = S4_util.Crc32
 module Crashtest = S4_tools.Crashtest
 module History = S4_tools.History
 
 let check = Alcotest.check
 let handle d = S4.Backend.handle (Drive.backend d)
-let qtest = Qseed.qtest
 let cred = Rpc.admin_cred
 
 let geom mb = Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(mb * 1024 * 1024)
@@ -81,7 +82,121 @@ let test_file_rejects_bad () =
       Unix.close fd;
       expect_failure "corrupt header rejected" (fun () -> File_disk.open_file path))
 
-(* --- serialized image: qcheck round-trip -------------------------------- *)
+(* --- retired layouts ------------------------------------------------------ *)
+
+(* Every on-disk decoder reads exactly what this code writes. One row
+   per layout an earlier version wrote; each must be refused, never
+   read as an empty or default value. *)
+
+(* A drive on a memory disk with a few flushed, sealed audit blocks. *)
+let small_drive () =
+  let disk = Sim_disk.create ~geometry:(geom 16) (Simclock.create ()) in
+  let drive = Drive.format disk in
+  let oid = oid_die (handle drive cred (Rpc.Create { acl = [] })) in
+  let data = Bytes.of_string "payload" in
+  unit_die "write" (handle drive cred (Rpc.Write { oid; off = 0; len = 7; data = Some data }));
+  unit_die "sync" (handle drive cred Rpc.Sync);
+  (disk, drive, oid)
+
+let retired_image what =
+  with_tmp (fun path ->
+      let oc = open_out_bin path in
+      output_string oc "S4IMG2\n";
+      output_string oc (String.make 4096 '\000');
+      close_out oc;
+      expect_failure what (fun () -> File_disk.open_file path))
+
+(* Store header whose payload ends after the clock (no head flag). *)
+let retired_store_header what =
+  with_tmp (fun path ->
+      File_disk.close (File_disk.create ~path (geom 16));
+      let w = Bcodec.writer () in
+      Geometry.encode w (geom 16);
+      Bcodec.w_i64 w 42L;
+      let payload = Bcodec.contents w in
+      let hdr = Bytes.make 16 '\000' in
+      Bytes.blit_string "S4FDSK1\n" 0 hdr 0 8;
+      Bcodec.set_u32 hdr 8 (Bytes.length payload);
+      Bcodec.set_u32 hdr 12 (Int32.to_int (Crc32.bytes payload) land 0xFFFFFFFF);
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+      ignore (Unix.write fd (Bytes.cat hdr payload) 0 (16 + Bytes.length payload));
+      Unix.close fd;
+      match File_disk.open_file path with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Failure m ->
+        check Alcotest.bool (what ^ ": corrupt store") true
+          (String.starts_with ~prefix:(path ^ ": corrupt store") m))
+
+(* A CRC-valid audit block in the pre-chain layout (magic 0x5541: base
+   time and count, no start index or prior head). The oldest block has
+   start index 0, a one-byte varint, so the prior head sits at 11..43. *)
+let retired_audit_block what =
+  let disk, drive, _ = small_drive () in
+  let audit = Drive.audit drive in
+  let addr = List.hd (List.rev (Audit.block_addrs audit)) in
+  let chained = Log.peek (Drive.log drive) addr in
+  let n = Bytes.length chained in
+  let v1 = Bytes.make n '\000' in
+  Bcodec.set_u16 v1 0 0x5541;
+  Bytes.blit chained 2 v1 2 8;
+  Bytes.blit chained 43 v1 10 (n - 4 - 43);
+  Bcodec.set_u32 v1 (n - 4) (Int32.to_int (Crc32.sub v1 ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF);
+  let spb = Log.block_size (Drive.log drive) / (Sim_disk.geometry disk).Geometry.sector_size in
+  Sim_disk.poke disk ~lba:(addr * spb) ~data:v1;
+  let v = Audit.verify audit in
+  check Alcotest.bool (what ^ ": verify reports it undecodable") true
+    (List.exists
+       (String.ends_with ~suffix:(Printf.sprintf "undecodable audit block at addr %d" addr))
+       v.S4_integrity.Chain.v_errors);
+  let drive2 = Drive.attach disk in
+  check Alcotest.bool (what ^ ": recover indexes none of its records") false
+    (List.mem addr (Audit.block_addrs (Drive.audit drive2)))
+
+(* A landmark index that ends after the landmarks (no marks count). *)
+let retired_landmark_index what =
+  let _, drive, oid = small_drive () in
+  let lm = Landmark.create drive in
+  (match Landmark.take lm ~name:"keep" ~at:(Simclock.now (Drive.clock drive)) oid with
+   | Ok _ -> ()
+   | Error m -> Alcotest.fail m);
+  let index =
+    match handle drive cred (Rpc.P_mount { name = "landmarks"; at = None }) with
+    | Rpc.R_oid o -> o
+    | r -> Alcotest.failf "pmount: %a" Rpc.pp_resp r
+  in
+  let bytes =
+    match handle drive cred (Rpc.Read { oid = index; off = 0; len = 65536; at = None }) with
+    | Rpc.R_data b -> b
+    | r -> Alcotest.failf "read index: %a" Rpc.pp_resp r
+  in
+  (* The current layout ends in the marks count, 0 here: one byte. *)
+  let len = Bytes.length bytes - 1 in
+  unit_die "truncate" (handle drive cred (Rpc.Truncate { oid = index; size = 0 }));
+  unit_die "write"
+    (handle drive cred (Rpc.Write { oid = index; off = 0; len; data = Some (Bytes.sub bytes 0 len) }));
+  expect_failure what (fun () -> Landmark.list lm);
+  check Alcotest.bool (what ^ ": take reports the corrupt index") true
+    (Result.is_error (Landmark.take lm ~name:"again" ~at:(Simclock.now (Drive.clock drive)) oid))
+
+(* The superblock version byte follows the 4-byte magic at offset 0. *)
+let retired_superblock what =
+  let disk, _, _ = small_drive () in
+  let sector = Sim_disk.peek disk ~lba:0 ~sectors:1 in
+  Bytes.set sector 4 '\002';
+  Sim_disk.poke disk ~lba:0 ~data:sector;
+  Alcotest.check_raises what (Invalid_argument "Drive.attach: no valid superblock") (fun () ->
+      ignore (Drive.attach disk))
+
+let test_retired_formats () =
+  List.iter
+    (fun (what, row) -> row what)
+    [
+      ("S4IMG2 image", retired_image);
+      ("store header without head flag", retired_store_header);
+      ("pre-chain audit block", retired_audit_block);
+      ("landmark index without marks count", retired_landmark_index);
+      ("superblock version 2", retired_superblock);
+    ]
 
 let sector_digest disk =
   let sectors = Sim_disk.capacity_sectors disk in
@@ -94,96 +209,6 @@ let sector_digest disk =
     lba := !lba + n
   done;
   Digest.string (Buffer.contents buf)
-
-let gen_image =
-  QCheck.Gen.(
-    let* seed = int_bound 0xFFFF in
-    let* nsectors = int_range 0 64 in
-    let* clock_ns = map Int64.abs int64 in
-    return (seed, nsectors, clock_ns))
-
-let arb_image =
-  QCheck.make
-    ~print:(fun (s, n, c) -> Printf.sprintf "seed=%d sectors=%d clock=%Ld" s n c)
-    gen_image
-
-let qcheck_image_roundtrip =
-  QCheck.Test.make ~name:"image save/load preserves clock and every sector" ~count:30 arb_image
-    (fun (seed, nsectors, clock_ns) ->
-      with_tmp (fun path ->
-          let clock = Simclock.create () in
-          Simclock.set clock clock_ns;
-          let disk = Sim_disk.create ~geometry:(geom 16) clock in
-          let rng = Rng.create ~seed in
-          for _ = 1 to nsectors do
-            let lba = Rng.int rng (Sim_disk.capacity_sectors disk) in
-            Sim_disk.poke disk ~lba ~data:(Rng.bytes rng 512)
-          done;
-          Disk_image.save path clock disk;
-          let clock2, disk2 = Disk_image.load path in
-          Int64.equal (Simclock.now clock) (Simclock.now clock2)
-          && String.equal (sector_digest disk) (sector_digest disk2)))
-
-let test_image_corrupt_rejected () =
-  let mk path =
-    let clock = Simclock.create () in
-    let disk = Sim_disk.create ~geometry:(geom 16) clock in
-    Sim_disk.poke disk ~lba:7 ~data:(Bytes.make 512 'x');
-    Disk_image.save path clock disk
-  in
-  let expect_corrupt what f =
-    check Alcotest.bool what true
-      (try ignore (f ()); false
-       with Failure m ->
-         if not (String.length m > 0 && String.index_opt m '(' <> None) then
-           Alcotest.failf "%s: unhelpful message %S" what m;
-         true)
-  in
-  with_tmp (fun path ->
-      mk path;
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-      ignore (Unix.lseek fd 40 Unix.SEEK_SET);
-      ignore (Unix.write fd (Bytes.make 1 '\x99') 0 1);
-      Unix.close fd;
-      expect_corrupt "flipped byte rejected" (fun () -> Disk_image.load path));
-  with_tmp (fun path ->
-      mk path;
-      let sz = (Unix.stat path).Unix.st_size in
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-      Unix.ftruncate fd (sz - 100);
-      Unix.close fd;
-      expect_corrupt "truncated rejected" (fun () -> Disk_image.load path));
-  with_tmp (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "garbage";
-      close_out oc;
-      expect_failure "foreign rejected" (fun () -> Disk_image.load path))
-
-let test_save_is_atomic () =
-  with_tmp (fun path ->
-      let clock = Simclock.create () in
-      Simclock.set clock 42L;
-      let disk = Sim_disk.create ~geometry:(geom 16) clock in
-      Sim_disk.poke disk ~lba:3 ~data:(Bytes.make 512 'v');
-      Disk_image.save path clock disk;
-      let before = Digest.file path in
-      (* Force the save to fail mid-way: its temp slot is occupied by a
-         directory, so the new image can never be written ... *)
-      let tmp = path ^ ".tmp" in
-      Unix.mkdir tmp 0o755;
-      Fun.protect
-        ~finally:(fun () -> Unix.rmdir tmp)
-        (fun () ->
-          Simclock.set clock 99L;
-          Sim_disk.poke disk ~lba:3 ~data:(Bytes.make 512 'w');
-          check Alcotest.bool "failed save raises" true
-            (try Disk_image.save path clock disk; false with Sys_error _ -> true));
-      (* ... and the previous image must be byte-identical and loadable. *)
-      check Alcotest.string "old image untouched" before (Digest.file path);
-      let clock2, disk2 = Disk_image.load path in
-      check Alcotest.int64 "old clock" 42L (Simclock.now clock2);
-      check Alcotest.bool "old sector" true
-        (Bytes.equal (Bytes.make 512 'v') (Sim_disk.peek disk2 ~lba:3 ~sectors:1)))
 
 (* --- the durability hole itself ----------------------------------------- *)
 
@@ -201,12 +226,11 @@ let test_file_backed_survives_no_save () =
           (handle drive cred
              (Rpc.Write { oid; off = 0; len = Bytes.length data; data = Some data }));
         unit_die "sync" (handle drive cred Rpc.Sync);
-        (* No Disk_image.save, no Log.sync: the process just dies. *)
+        (* No Log.sync, no close-time barrier: the process just dies. *)
         Sim_disk.close disk;
         oid
       in
-      let clock2, disk2 = Disk_image.load_any path in
-      ignore clock2;
+      let disk2 = Sim_disk.of_file (File_disk.open_file path) in
       let drive2 = Drive.attach disk2 in
       check (Alcotest.list Alcotest.string) "fsck clean" [] (Drive.fsck drive2);
       (match handle drive2 cred (Rpc.Read { oid; off = 0; len = 16; at = None }) with
@@ -271,7 +295,7 @@ let test_recovery_clock_monotone () =
         Sim_disk.close disk;
         oid
       in
-      let _, disk2 = Disk_image.load_any path in
+      let disk2 = Sim_disk.of_file (File_disk.open_file path) in
       let drive2 = Drive.attach disk2 in
       let clock2 = Sim_disk.clock disk2 in
       let h = History.create drive2 in
@@ -334,12 +358,7 @@ let () =
         [
           Alcotest.test_case "roundtrip across close" `Quick test_file_roundtrip;
           Alcotest.test_case "foreign and corrupt rejected" `Quick test_file_rejects_bad;
-        ] );
-      ( "image",
-        [
-          qtest qcheck_image_roundtrip;
-          Alcotest.test_case "corrupt and truncated rejected" `Quick test_image_corrupt_rejected;
-          Alcotest.test_case "save is atomic" `Quick test_save_is_atomic;
+          Alcotest.test_case "retired layouts refused" `Quick test_retired_formats;
         ] );
       ( "durability",
         [

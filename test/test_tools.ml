@@ -359,33 +359,37 @@ let test_timeline_and_denials () =
   check Alcotest.bool "bob's probe flagged" true
     (List.exists (fun r -> r.S4.Audit.user = 2 && not r.S4.Audit.ok) denials)
 
-(* --- Disk image persistence -------------------------------------------- *)
+(* --- File-backed store persistence -------------------------------------- *)
 
-module Disk_image = S4_tools.Disk_image
+module File_disk = S4_disk.File_disk
 
 let test_image_roundtrip () =
-  let path = Filename.temp_file "s4img" ".img" in
+  let path = Filename.temp_file "s4store" ".s4" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let clock, drive, tr = mk ~mb:16 () in
+      let disk = Sim_disk.of_file (File_disk.create ~path (geom 16)) in
+      let clock = Sim_disk.clock disk in
+      let drive = Drive.format disk in
+      let tr = Translator.mount (Translator.Local drive) in
       ignore (write_file tr "etc/data" "persisted across processes");
       Simclock.advance clock 123_456_789L;
       S4.Audit.flush (Drive.audit drive);
       S4_seglog.Log.sync (Drive.log drive);
-      let disk = S4_seglog.Log.disk (Drive.log drive) in
-      Disk_image.save path clock disk;
-      (* A "new process": load and attach. *)
-      let clock2, disk2 = Disk_image.load path in
-      check Alcotest.int64 "clock restored" (Simclock.now clock) (Simclock.now clock2);
+      Sim_disk.close disk;
+      (* A "new process": reopen the store as s4cli does and attach. *)
+      let disk2 = Sim_disk.of_file (File_disk.open_file path) in
+      check Alcotest.int64 "clock restored from the barrier header" (Simclock.now clock)
+        (Simclock.now (Sim_disk.clock disk2));
       let drive2 = Drive.attach disk2 in
       let tr2 = Translator.mount (Translator.Local drive2) in
       check Alcotest.string "contents restored" "persisted across processes"
         (read_file tr2 "etc/data");
-      check (Alcotest.list Alcotest.string) "fsck clean after reload" [] (Drive.fsck drive2))
+      check (Alcotest.list Alcotest.string) "fsck clean after reload" [] (Drive.fsck drive2);
+      Sim_disk.close disk2)
 
 let test_image_rejects_garbage () =
-  let path = Filename.temp_file "s4img" ".img" in
+  let path = Filename.temp_file "s4store" ".s4" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -394,9 +398,9 @@ let test_image_rejects_garbage () =
       close_out oc;
       check Alcotest.bool "rejected" true
         (try
-           ignore (Disk_image.load path);
+           File_disk.close (File_disk.open_file path);
            false
-         with Failure _ | S4_util.Bcodec.Decode_error _ -> true))
+         with Failure _ -> true))
 
 let () =
   Alcotest.run "s4_tools"
