@@ -626,6 +626,21 @@ let micro () =
     Bytes.blit (Rng.bytes rng 256) 0 b 1024 256;
     b
   in
+  let small = Bytes.sub payload 0 64 in
+  (* An audit-chain extension hashes the 32-byte prior head and a
+     ~64-byte canonical record. *)
+  let record = Bytes.sub payload 0 96 in
+  (* A one-write 1 KB Batch frame, as a client sends it. *)
+  let write_1k =
+    S4_net.Wire.Batch
+      {
+        xid = 1L;
+        cred = Rpc.user_cred ~user:1 ~client:1;
+        sync = false;
+        reqs = [| Rpc.Write { oid = 1L; off = 0; len = 1024; data = Some (Bytes.sub payload 0 1024) } |];
+      }
+  in
+  let write_1k_frame = S4_net.Wire.encode write_1k in
   let tests =
     [
       Test.make ~name:"store-write-4k"
@@ -634,6 +649,14 @@ let micro () =
         (Staged.stage (fun () -> ignore (Store.read store roid ~off:0 ~len:65536)));
       Test.make ~name:"store-sync" (Staged.stage (fun () -> Store.sync store));
       Test.make ~name:"crc32-4k" (Staged.stage (fun () -> ignore (S4_util.Crc32.bytes payload)));
+      Test.make ~name:"crc32-64" (Staged.stage (fun () -> ignore (S4_util.Crc32.bytes small)));
+      Test.make ~name:"sha256-record-96"
+        (Staged.stage (fun () -> ignore (S4_util.Sha256.digest_bytes record)));
+      Test.make ~name:"sha256-4k" (Staged.stage (fun () -> ignore (S4_util.Sha256.digest_bytes payload)));
+      Test.make ~name:"wire-encode-1k" (Staged.stage (fun () -> ignore (S4_net.Wire.encode write_1k)));
+      Test.make ~name:"wire-decode-1k"
+        (Staged.stage (fun () ->
+             ignore (S4_net.Wire.decode write_1k_frame ~pos:0 ~avail:(Bytes.length write_1k_frame))));
       Test.make ~name:"lz-compress-4k"
         (Staged.stage (fun () -> ignore (S4_compress.Lz.compress payload)));
       Test.make ~name:"delta-encode-4k"

@@ -131,8 +131,7 @@ let encode_block block_size ~start ~prior records_chrono =
   if Bytes.length body + 4 > block_size then invalid_arg "Audit: block overflow";
   let out = Bytes.make block_size '\000' in
   Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = Crc32.sub out ~pos:0 ~len:(block_size - 4) in
-  Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
+  Bcodec.set_u32 out (block_size - 4) (Crc32.sub out ~pos:0 ~len:(block_size - 4));
   out
 
 (* Decodes exactly the layout [encode_block] writes: records plus the
@@ -141,9 +140,7 @@ let decode_block_chained b =
   let n = Bytes.length b in
   if n < 18 || Bcodec.get_u16 b 0 <> magic then None
   else begin
-    let stored = Bcodec.get_u32 b (n - 4) in
-    let crc = Int32.to_int (Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-    if stored <> crc then None
+    if Bcodec.get_u32 b (n - 4) <> Crc32.sub b ~pos:0 ~len:(n - 4) then None
     else begin
       try
         let rd = Bcodec.reader ~pos:2 b in
@@ -170,8 +167,7 @@ let encode_seal block_size (s : Chain.seal) =
   if Bytes.length body + 4 > block_size then invalid_arg "Audit: seal overflow";
   let out = Bytes.make block_size '\000' in
   Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = Crc32.sub out ~pos:0 ~len:(block_size - 4) in
-  Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
+  Bcodec.set_u32 out (block_size - 4) (Crc32.sub out ~pos:0 ~len:(block_size - 4));
   out
 
 let decode_seal b : Chain.seal option =
@@ -179,9 +175,7 @@ let decode_seal b : Chain.seal option =
   if n < 10 then None
   else if Bcodec.get_u16 b 0 <> seal_magic then None
   else begin
-    let stored = Bcodec.get_u32 b (n - 4) in
-    let crc = Int32.to_int (Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-    if stored <> crc then None
+    if Bcodec.get_u32 b (n - 4) <> Crc32.sub b ~pos:0 ~len:(n - 4) then None
     else begin
       try
         let rd = Bcodec.reader ~pos:2 b in

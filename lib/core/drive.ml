@@ -50,7 +50,7 @@ type t = {
   mutable last_clean_at : int64;
   mutable last_clean_busy : int64;
   mutable io_errors : int;  (* RPCs failed on a permanent media fault *)
-  mutable audit_drops : int;  (* audit appends lost to media faults *)
+  mutable audit_drops : int;  (* audit appends lost to media faults or a full log *)
 }
 
 let clock t = Store.clock t.store
@@ -420,8 +420,9 @@ let handle_inner t (cred : Rpc.credential) req =
     | Fault.Write_fault { lba; transient } -> io_failed lba transient "write"
   in
   let ok = match resp with Rpc.R_error _ -> false | _ -> true in
-  (* A media fault while persisting the audit trail must not take the
-     whole drive down; count the loss and keep serving (degraded). *)
+  (* A media fault or a full log while persisting the audit trail must
+     not take the whole drive down; count the loss and keep serving
+     (degraded). *)
   (try
      Audit.append t.audit
        {
@@ -433,7 +434,8 @@ let handle_inner t (cred : Rpc.credential) req =
          info = Rpc.op_info req;
          ok;
        }
-   with Fault.Read_fault _ | Fault.Write_fault _ -> t.audit_drops <- t.audit_drops + 1);
+   with Fault.Read_fault _ | Fault.Write_fault _ | Log.Log_full ->
+     t.audit_drops <- t.audit_drops + 1);
   if t.ops land 1023 = 0 then refresh_pressure t;
   resp
 

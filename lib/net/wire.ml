@@ -449,8 +449,7 @@ let encode frame =
   Bcodec.set_i64 b 8 (frame_xid frame);
   Bcodec.set_u32 b 16 plen;
   Bytes.blit payload 0 b header_len plen;
-  let crc = Crc32.sub b ~pos:0 ~len:(header_len + plen) in
-  Bcodec.set_u32 b (header_len + plen) (Int32.to_int crc land 0xFFFFFFFF);
+  Bcodec.set_u32 b (header_len + plen) (Crc32.sub b ~pos:0 ~len:(header_len + plen));
   b
 
 (* ------------------------------------------------------------------ *)
@@ -521,9 +520,8 @@ let decode ?(max_frame = max_frame_default) buf ~pos ~avail =
         let total = overhead + plen in
         if avail < total then Need_more (total - avail)
         else begin
-          let crc = Crc32.sub buf ~pos ~len:(header_len + plen) in
           let stored = Bcodec.get_u32 buf (pos + header_len + plen) in
-          if Int32.to_int crc land 0xFFFFFFFF <> stored then reject "crc mismatch"
+          if Crc32.sub buf ~pos ~len:(header_len + plen) <> stored then reject "crc mismatch"
           else begin
             let payload = Bytes.sub buf (pos + header_len) plen in
             match parse_payload kind xid payload with

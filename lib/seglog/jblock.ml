@@ -33,8 +33,7 @@ let encode ~block_size ~prev entries =
   if Bcodec.length w + 4 > block_size then invalid_arg "Jblock.encode: entries do not fit";
   let out = Bytes.make block_size '\000' in
   Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = Crc32.sub out ~pos:0 ~len:(block_size - 4) in
-  Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
+  Bcodec.set_u32 out (block_size - 4) (Crc32.sub out ~pos:0 ~len:(block_size - 4));
   out
 
 let decode b =
@@ -42,9 +41,7 @@ let decode b =
   if n < header_size then None
   else if Bcodec.get_u16 b 0 <> magic then None
   else begin
-    let stored = Bcodec.get_u32 b (n - 4) in
-    let crc = Int32.to_int (Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-    if stored <> crc then None
+    if Bcodec.get_u32 b (n - 4) <> Crc32.sub b ~pos:0 ~len:(n - 4) then None
     else begin
       try
         let r = Bcodec.reader ~pos:2 b in

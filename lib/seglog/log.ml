@@ -536,7 +536,25 @@ let reattach disk =
   |> List.iter (fun (seg, _) ->
          t.epoch_counter <- t.epoch_counter + 1;
          t.segs.(seg).epoch <- t.epoch_counter);
-  open_segment_exn t;
+  (* Every block is still dead here (the owners re-mark them after this
+     returns), so a full log must not reclaim now: that would free every
+     segment and lose the whole store. Park on the newest summarised
+     segment instead, the state a log that fills at run time is left
+     in; the first append retries the close and reclaims then. *)
+  if free_segments t > 0 then open_segment_exn t
+  else begin
+    let segs = Array.to_list t.segs in
+    let candidates =
+      match List.filter (fun sg -> not (List.mem_assoc sg.index !crashed)) segs with
+      | [] -> segs
+      | summarised -> summarised
+    in
+    let newer a b = if b.epoch > a.epoch then b else a in
+    let parked = List.fold_left newer (List.hd candidates) candidates in
+    t.current <- parked.index;
+    t.frontier <- t.usable;
+    t.flushed <- t.usable
+  end;
   t
 
 let mark_live t addr tag =

@@ -290,8 +290,7 @@ let encode_ckchunk t ~oid ~seq ~idx ~nchunks payload =
   if Bytes.length body + 4 > block_size then invalid_arg "ckchunk too big";
   let out = Bytes.make block_size '\000' in
   Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = S4_util.Crc32.sub out ~pos:0 ~len:(block_size - 4) in
-  Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
+  Bcodec.set_u32 out (block_size - 4) (S4_util.Crc32.sub out ~pos:0 ~len:(block_size - 4));
   out
 
 let decode_ckchunk b =
@@ -299,9 +298,7 @@ let decode_ckchunk b =
   if n < 20 then None
   else if Bcodec.get_u16 b 0 <> ck_magic then None
   else begin
-    let stored = Bcodec.get_u32 b (n - 4) in
-    let crc = Int32.to_int (S4_util.Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-    if stored <> crc then None
+    if Bcodec.get_u32 b (n - 4) <> S4_util.Crc32.sub b ~pos:0 ~len:(n - 4) then None
     else begin
       try
         let r = Bcodec.reader ~pos:2 b in
@@ -331,8 +328,7 @@ let encode_cpack t triples =
   if Bytes.length body + 4 > block_size then invalid_arg "cpack too big";
   let out = Bytes.make block_size '\000' in
   Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = S4_util.Crc32.sub out ~pos:0 ~len:(block_size - 4) in
-  Bcodec.set_u32 out (block_size - 4) (Int32.to_int crc land 0xFFFFFFFF);
+  Bcodec.set_u32 out (block_size - 4) (S4_util.Crc32.sub out ~pos:0 ~len:(block_size - 4));
   out
 
 let decode_cpack b =
@@ -340,9 +336,7 @@ let decode_cpack b =
   if n < 10 then None
   else if Bcodec.get_u16 b 0 <> pack_magic then None
   else begin
-    let stored = Bcodec.get_u32 b (n - 4) in
-    let crc = Int32.to_int (S4_util.Crc32.sub b ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF in
-    if stored <> crc then None
+    if Bcodec.get_u32 b (n - 4) <> S4_util.Crc32.sub b ~pos:0 ~len:(n - 4) then None
     else begin
       try
         let r = Bcodec.reader ~pos:2 b in

@@ -1,37 +1,56 @@
-type t = int32
+type t = int
 
-let polynomial = 0xEDB88320l
-
+(* Slicing-by-8 (Intel, "A Systematic Approach to Building High
+   Performance Software-based CRC Generators"): eight 256-entry tables
+   flattened into one array, built once at module initialisation.
+   Table k maps a byte to its CRC contribution when followed by k zero
+   bytes, so one step folds eight input bytes with eight lookups.
+   Values are native ints in [0, 2^32). *)
 let table =
-  lazy
-    (let t = Array.make 256 0l in
-     for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
-       for _ = 0 to 7 do
-         if Int32.logand !c 1l <> 0l then
-           c := Int32.logxor polynomial (Int32.shift_right_logical !c 1)
-         else c := Int32.shift_right_logical !c 1
-       done;
-       t.(n) <- !c
-     done;
-     t)
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xff)
+  done;
+  t
 
-let init = 0xFFFFFFFFl
+let[@inline] tab k i = Array.unsafe_get table ((k lsl 8) lor (i land 0xff))
+
+let init = 0xFFFFFFFF
 
 let update acc b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Crc32.update";
-  let table = Lazy.force table in
-  let acc = ref acc in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !acc (Int32.of_int (Char.code (Bytes.unsafe_get b i)))) 0xFFl)
-    in
-    acc := Int32.logxor table.(idx) (Int32.shift_right_logical !acc 8)
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Crc32.update";
+  let c = ref acc and i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let lo = Int32.to_int (Bytes.get_int32_le b !i) lxor !c in
+    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) in
+    c :=
+      tab 7 lo
+      lxor tab 6 (lo lsr 8)
+      lxor tab 5 (lo lsr 16)
+      lxor tab 4 (lo lsr 24)
+      lxor tab 3 hi
+      lxor tab 2 (hi lsr 8)
+      lxor tab 1 (hi lsr 16)
+      lxor tab 0 (hi lsr 24);
+    i := !i + 8
   done;
-  !acc
+  let stop = pos + len in
+  while !i < stop do
+    c := tab 0 (!c lxor Char.code (Bytes.unsafe_get b !i)) lxor (!c lsr 8);
+    incr i
+  done;
+  !c
 
-let finish acc = Int32.logxor acc 0xFFFFFFFFl
+let finish acc = acc lxor 0xFFFFFFFF
 
 let sub b ~pos ~len = finish (update init b ~pos ~len)
 let bytes b = sub b ~pos:0 ~len:(Bytes.length b)

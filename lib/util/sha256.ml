@@ -1,10 +1,13 @@
 (* Pure-OCaml SHA-256 (FIPS 180-4). The audit chain needs a real
    cryptographic hash — CRC-32 is trivially forgeable — and the
    toolchain carries no crypto library, so the compression function
-   lives here. Performance is adequate: audit records are tens of
-   bytes and chaining is one compression call per record. All 32-bit
-   word arithmetic is done in native ints masked to 32 bits (OCaml
-   ints are 63-bit on every platform we target). *)
+   lives here. It sits on the audit hot path (one chain extension per
+   request), so [feed_sub] checks its range once and then compresses
+   whole 64-byte blocks straight from the caller's buffer, the rounds
+   run on local variables, eight per unrolled step with rotating roles,
+   and [finish] pads inside the context's own block. All 32-bit word
+   arithmetic is done in native ints masked to 32 bits (OCaml ints are
+   63-bit on every platform we target). *)
 
 let k =
   [|
@@ -24,7 +27,7 @@ let mask = 0xFFFFFFFF
 
 type ctx = {
   h : int array;  (* 8 state words *)
-  block : Bytes.t;  (* 64-byte input block being filled *)
+  block : Bytes.t;  (* partial 64-byte input block; also the padding buffer *)
   mutable fill : int;  (* bytes of [block] in use *)
   mutable total : int;  (* total message bytes so far *)
   w : int array;  (* 64-entry message schedule, reused per block *)
@@ -43,91 +46,133 @@ let init () =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* For a 32-bit [x], [x lor (x lsl 32)] holds two copies of it (the
+   top bit of the upper copy falls off a 63-bit int, but no rotation
+   by at most 31 reads it), so a right rotation by [n] is that value
+   shifted by [n] and masked: one mask serves three rotations. *)
+let[@inline] big_sigma0 x =
+  let x = x lor (x lsl 32) in
+  ((x lsr 2) lxor (x lsr 13) lxor (x lsr 22)) land mask
 
-let compress ctx =
-  let w = ctx.w and b = ctx.block in
+let[@inline] big_sigma1 x =
+  let x = x lor (x lsl 32) in
+  ((x lsr 6) lxor (x lsr 11) lxor (x lsr 25)) land mask
+
+let[@inline] small_sigma0 x =
+  let x2 = x lor (x lsl 32) in
+  ((x2 lsr 7) lxor (x2 lsr 18)) land mask lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let x2 = x lor (x lsl 32) in
+  ((x2 lsr 17) lxor (x2 lsr 19)) land mask lxor (x lsr 10)
+
+(* The two halves of one round: [t1] feeds both the new [e] (through
+   [d]) and the new [a]; [t2] only the new [a]. *)
+let[@inline] t1 e f g h i w =
+  h + big_sigma1 e + (g lxor (e land (f lxor g))) + Array.unsafe_get k i + Array.unsafe_get w i
+
+let[@inline] t2 a b c = big_sigma0 a + ((a land b) lor (c land (a lor b)))
+
+(* Compresses the 64 bytes of [buf] at [pos]; the caller has checked
+   the range. *)
+let compress ctx buf pos =
+  let w = ctx.w and h = ctx.h in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get b (4 * i)) lsl 24)
-      lor (Char.code (Bytes.get b ((4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get b ((4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get b ((4 * i) + 3))
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be buf (pos + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    Array.unsafe_set w i
+      ((small_sigma1 (Array.unsafe_get w (i - 2))
+       + Array.unsafe_get w (i - 7)
+       + small_sigma0 (Array.unsafe_get w (i - 15))
+       + Array.unsafe_get w (i - 16))
+      land mask)
   done;
-  let a = ref ctx.h.(0) and bb = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
-  let e = ref ctx.h.(4) and f = ref ctx.h.(5) and g = ref ctx.h.(6) and hh = ref ctx.h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !bb lxor (!a land !c) lxor (!bb land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !bb;
-    bb := !a;
-    a := (t1 + t2) land mask
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  (* Eight rounds per iteration: instead of shifting a..h down one
+     place per round, each round writes the two words that change
+     ([d + t1] becomes the new e, [t1 + t2] the new a) and the next
+     round reads every role one variable further along. *)
+  for j = 0 to 7 do
+    let i = 8 * j in
+    let t = t1 !e !f !g !hh i w in
+    d := (!d + t) land mask;
+    hh := (t + t2 !a !b !c) land mask;
+    let t = t1 !d !e !f !g (i + 1) w in
+    c := (!c + t) land mask;
+    g := (t + t2 !hh !a !b) land mask;
+    let t = t1 !c !d !e !f (i + 2) w in
+    b := (!b + t) land mask;
+    f := (t + t2 !g !hh !a) land mask;
+    let t = t1 !b !c !d !e (i + 3) w in
+    a := (!a + t) land mask;
+    e := (t + t2 !f !g !hh) land mask;
+    let t = t1 !a !b !c !d (i + 4) w in
+    hh := (!hh + t) land mask;
+    d := (t + t2 !e !f !g) land mask;
+    let t = t1 !hh !a !b !c (i + 5) w in
+    g := (!g + t) land mask;
+    c := (t + t2 !d !e !f) land mask;
+    let t = t1 !g !hh !a !b (i + 6) w in
+    f := (!f + t) land mask;
+    b := (t + t2 !c !d !e) land mask;
+    let t = t1 !f !g !hh !a (i + 7) w in
+    e := (!e + t) land mask;
+    a := (t + t2 !b !c !d) land mask
   done;
-  ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
-  ctx.h.(1) <- (ctx.h.(1) + !bb) land mask;
-  ctx.h.(2) <- (ctx.h.(2) + !c) land mask;
-  ctx.h.(3) <- (ctx.h.(3) + !d) land mask;
-  ctx.h.(4) <- (ctx.h.(4) + !e) land mask;
-  ctx.h.(5) <- (ctx.h.(5) + !f) land mask;
-  ctx.h.(6) <- (ctx.h.(6) + !g) land mask;
-  ctx.h.(7) <- (ctx.h.(7) + !hh) land mask
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
 let feed_sub ctx buf pos len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then invalid_arg "Sha256.feed_sub";
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Sha256.feed_sub";
   ctx.total <- ctx.total + len;
   let pos = ref pos and len = ref len in
-  while !len > 0 do
-    let n = min !len (64 - ctx.fill) in
+  if ctx.fill > 0 then begin
+    let n = Int.min !len (64 - ctx.fill) in
     Bytes.blit buf !pos ctx.block ctx.fill n;
     ctx.fill <- ctx.fill + n;
     pos := !pos + n;
     len := !len - n;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress ctx ctx.block 0;
       ctx.fill <- 0
     end
-  done
+  end;
+  while !len >= 64 do
+    compress ctx buf !pos;
+    pos := !pos + 64;
+    len := !len - 64
+  done;
+  if !len > 0 then begin
+    Bytes.blit buf !pos ctx.block 0 !len;
+    ctx.fill <- !len
+  end
 
 let feed ctx buf = feed_sub ctx buf 0 (Bytes.length buf)
 let feed_string ctx s = feed ctx (Bytes.unsafe_of_string s)
 
 let finish ctx =
-  let bits = ctx.total * 8 in
   (* Padding: 0x80, zeros to 56 mod 64, 64-bit big-endian bit length. *)
-  feed ctx (Bytes.make 1 '\x80');
-  let pad = (64 + 56 - ctx.fill) mod 64 in
-  ctx.total <- ctx.total + pad;
-  (* feed adjusts total; the length field must not count padding, so
-     track it locally via [bits] computed before padding began. *)
-  if pad > 0 then feed ctx (Bytes.make pad '\x00');
-  let lenb = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set lenb i (Char.chr ((bits lsr (8 * (7 - i))) land 0xff))
-  done;
-  feed ctx lenb;
-  assert (ctx.fill = 0);
+  let b = ctx.block in
+  Bytes.set b ctx.fill '\x80';
+  let fill = ctx.fill + 1 in
+  if fill > 56 then begin
+    Bytes.fill b fill (64 - fill) '\x00';
+    compress ctx b 0;
+    Bytes.fill b 0 56 '\x00'
+  end
+  else Bytes.fill b fill (56 - fill) '\x00';
+  Bytes.set_int64_be b 56 (Int64.of_int (ctx.total * 8));
+  compress ctx b 0;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
-  done;
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) ctx.h;
   Bytes.unsafe_to_string out
 
 let digest_bytes b =

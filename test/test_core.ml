@@ -527,6 +527,36 @@ let test_drive_no_space_is_an_error_not_a_crash () =
   (* Reads still work. *)
   check Alcotest.string "drive still serves reads" "seed" (read_str drive alice oid)
 
+(* Small writes fill the log through the audit trail as well as the
+   store. Neither may escape as an exception, and a crash of the full
+   drive must keep everything the last successful Sync made durable. *)
+let test_drive_full_survives_crash () =
+  let clock, disk, drive = mk_drive ~mb:4 () in
+  let oid = create_file drive alice "seed" in
+  let page = Bytes.make 4096 'p' in
+  let synced = ref 0 and full = ref false and i = ref 0 in
+  while not !full do
+    incr i;
+    (match handle drive alice (Rpc.Write { oid; off = 4096 * (!i mod 16); len = 4096; data = Some page }) with
+     | Rpc.R_error Rpc.No_space -> full := true
+     | _ -> tick clock);
+    if !i mod 8 = 0 then
+      match handle drive alice Rpc.Sync with
+      (* The Sync's own record is logged after its barrier. *)
+      | Rpc.R_unit -> synced := S4.Audit.record_count (Drive.audit drive) - 1
+      | _ -> full := true
+  done;
+  (* Enough audited reads to need a fresh audit block in the full log. *)
+  for _ = 1 to 500 do
+    ignore (handle drive alice (Rpc.Read { oid; off = 0; len = 4; at = None }))
+  done;
+  check Alcotest.bool "lost audit records are counted" true (Drive.audit_drops drive > 0);
+  let drive2 = Drive.attach disk in
+  check Alcotest.bool "synced audit records survive" true
+    (List.length (S4.Audit.records (Drive.audit drive2) ()) >= !synced && !synced > 0);
+  check Alcotest.string "contents survive" "pppp" (String.sub (read_str drive2 alice oid) 0 4);
+  check (Alcotest.list Alcotest.string) "fsck after recovery" [] (Drive.fsck drive2)
+
 (* --- group commit ----------------------------------------------------- *)
 
 let resps = Alcotest.(array (testable Rpc.pp_resp ( = )))
@@ -649,6 +679,7 @@ let () =
           Alcotest.test_case "window persists" `Quick test_drive_window_persists_across_crash;
           Alcotest.test_case "throttling" `Quick test_drive_throttling_under_pressure;
           Alcotest.test_case "no-space error" `Quick test_drive_no_space_is_an_error_not_a_crash;
+          Alcotest.test_case "full drive survives a crash" `Quick test_drive_full_survives_crash;
           Alcotest.test_case "detection window guarantee" `Quick test_drive_detection_window_guarantee;
           Alcotest.test_case "setwindow shrinks" `Quick test_drive_set_window_shrinks_guarantee;
         ] );

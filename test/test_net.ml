@@ -260,7 +260,7 @@ let with_header_byte b ~at v =
   let b = Bytes.copy b in
   Bytes.set_uint8 b at v;
   let n = Bytes.length b - 4 in
-  S4_util.Bcodec.set_u32 b n (Int32.to_int (S4_util.Crc32.sub b ~pos:0 ~len:n) land 0xFFFFFFFF);
+  S4_util.Bcodec.set_u32 b n (S4_util.Crc32.sub b ~pos:0 ~len:n);
   b
 
 (* Exactly one wire version and one request frame exist: a frame from

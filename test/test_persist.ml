@@ -117,7 +117,7 @@ let retired_store_header what =
       let hdr = Bytes.make 16 '\000' in
       Bytes.blit_string "S4FDSK1\n" 0 hdr 0 8;
       Bcodec.set_u32 hdr 8 (Bytes.length payload);
-      Bcodec.set_u32 hdr 12 (Int32.to_int (Crc32.bytes payload) land 0xFFFFFFFF);
+      Bcodec.set_u32 hdr 12 (Crc32.bytes payload);
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
       ignore (Unix.write fd (Bytes.cat hdr payload) 0 (16 + Bytes.length payload));
       Unix.close fd;
@@ -140,7 +140,7 @@ let retired_audit_block what =
   Bcodec.set_u16 v1 0 0x5541;
   Bytes.blit chained 2 v1 2 8;
   Bytes.blit chained 43 v1 10 (n - 4 - 43);
-  Bcodec.set_u32 v1 (n - 4) (Int32.to_int (Crc32.sub v1 ~pos:0 ~len:(n - 4)) land 0xFFFFFFFF);
+  Bcodec.set_u32 v1 (n - 4) (Crc32.sub v1 ~pos:0 ~len:(n - 4));
   let spb = Log.block_size (Drive.log drive) / (Sim_disk.geometry disk).Geometry.sector_size in
   Sim_disk.poke disk ~lba:(addr * spb) ~data:v1;
   let v = Audit.verify audit in

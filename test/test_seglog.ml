@@ -286,6 +286,29 @@ let test_reattach_loses_unsynced () =
   let log2 = Log.reattach disk in
   check Alcotest.int "nothing found" 0 (List.length (Log.journal_blocks log2))
 
+(* A log that crashes full: every block is dead until its owner
+   re-marks it, so reattach must not reclaim (that frees the whole
+   store); the first append after recovery does. *)
+let test_reattach_full_log_keeps_segments () =
+  let _, disk, log = mk () in
+  let jb = Jblock.encode ~block_size:4096 ~prev:(-1) [ je 5L 1 0 "" ] in
+  (try
+     while true do
+       ignore (Log.append log Tag.Journal ~data:jb ())
+     done
+   with Log.Log_full -> ());
+  Log.sync log;
+  let log2 = Log.reattach disk in
+  let slots = Log.total_segments log2 * (Log.blocks_per_segment log2 - 1) in
+  check Alcotest.int "no segment reclaimed" 0 (Log.free_segments log2);
+  check Alcotest.int "every journal block found" slots (List.length (Log.journal_blocks log2));
+  List.iter (fun (a, _, _) -> Log.mark_live log2 a Tag.Journal) (Log.journal_blocks log2);
+  check Alcotest.bool "still full once re-marked" true
+    (try
+       ignore (Log.append log2 Tag.Journal ());
+       false
+     with Log.Log_full -> true)
+
 let test_all_tagged () =
   let _, _, log = mk () in
   let a = Log.append log Tag.Journal () in
@@ -371,6 +394,7 @@ let () =
           Alcotest.test_case "closed segments" `Quick test_reattach_closed_segments;
           Alcotest.test_case "open segment probe" `Quick test_reattach_open_segment_probed;
           Alcotest.test_case "unsynced lost" `Quick test_reattach_loses_unsynced;
+          Alcotest.test_case "full log keeps segments" `Quick test_reattach_full_log_keeps_segments;
           Alcotest.test_case "mark live" `Quick test_mark_live_after_reattach;
           Alcotest.test_case "all_tagged" `Quick test_all_tagged;
         ] );

@@ -1,6 +1,7 @@
 (* Unit and property tests for the s4_util foundation library. *)
 
 module Crc32 = S4_util.Crc32
+module Sha256 = S4_util.Sha256
 module Rng = S4_util.Rng
 module Bcodec = S4_util.Bcodec
 module Simclock = S4_util.Simclock
@@ -10,24 +11,119 @@ module Histogram = S4_util.Histogram
 let check = Alcotest.check
 let qtest = Qseed.qtest
 
+(* --- Reference oracles ---------------------------------------------- *)
+
+(* Textbook references: a byte-at-a-time CRC-32 over int32 and a
+   one-shot SHA-256 with the plain round loop. The properties below
+   compare the library's sliced CRC and unrolled SHA-256 against them;
+   the known-answer vectors pin the references themselves. *)
+
+module Ref_crc32 = struct
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+
+  let sub b ~pos ~len =
+    let acc = ref 0xFFFFFFFFl in
+    for i = pos to pos + len - 1 do
+      let idx = Int32.to_int (Int32.logand (Int32.logxor !acc (Int32.of_int (Char.code (Bytes.get b i)))) 0xFFl) in
+      acc := Int32.logxor table.(idx) (Int32.shift_right_logical !acc 8)
+    done;
+    Int32.to_int (Int32.logxor !acc 0xFFFFFFFFl) land 0xFFFFFFFF
+end
+
+module Ref_sha256 = struct
+  let k =
+    [|
+      0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
+      0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe;
+      0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f;
+      0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7;
+      0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+      0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+      0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116;
+      0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+      0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
+      0xc67178f2;
+    |]
+
+  let mask = 0xFFFFFFFF
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+  (* One message, padded up front and compressed block by block. *)
+  let digest (msg : string) =
+    let h =
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+    in
+    let n = String.length msg in
+    let padded = Bytes.make ((n + 9 + 63) / 64 * 64) '\x00' in
+    Bytes.blit_string msg 0 padded 0 n;
+    Bytes.set padded n '\x80';
+    let bits = n * 8 and plen = Bytes.length padded in
+    for i = 0 to 7 do
+      Bytes.set padded (plen - 1 - i) (Char.chr ((bits lsr (8 * i)) land 0xff))
+    done;
+    let w = Array.make 64 0 in
+    for blk = 0 to (plen / 64) - 1 do
+      for i = 0 to 15 do
+        let at j = Char.code (Bytes.get padded ((64 * blk) + (4 * i) + j)) in
+        w.(i) <- (at 0 lsl 24) lor (at 1 lsl 16) lor (at 2 lsl 8) lor at 3
+      done;
+      for i = 16 to 63 do
+        let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
+        let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+        w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+      done;
+      let v = Array.copy h in
+      for i = 0 to 63 do
+        let a = v.(0) and b = v.(1) and c = v.(2) and d = v.(3) in
+        let e = v.(4) and f = v.(5) and g = v.(6) and hh = v.(7) in
+        let s1 = rotr e 6 lxor rotr e 11 lxor rotr e 25 in
+        let ch = e land f lxor (lnot e land g) in
+        let t1 = (hh + s1 + ch + k.(i) + w.(i)) land mask in
+        let s0 = rotr a 2 lxor rotr a 13 lxor rotr a 22 in
+        let maj = a land b lxor (a land c) lxor (b land c) in
+        let t2 = (s0 + maj) land mask in
+        Array.blit [| (t1 + t2) land mask; a; b; c; (d + t1) land mask; e; f; g |] 0 v 0 8
+      done;
+      Array.iteri (fun i x -> h.(i) <- (h.(i) + x) land mask) v
+    done;
+    String.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xff))
+end
+
 (* --- CRC32 --------------------------------------------------------- *)
 
 let test_crc_known_vectors () =
   (* Standard test vector: CRC-32("123456789") = 0xCBF43926. *)
-  check Alcotest.int32 "123456789" 0xCBF43926l (Crc32.string "123456789");
-  check Alcotest.int32 "empty" 0l (Crc32.string "");
-  check Alcotest.int32 "a" 0xE8B7BE43l (Crc32.string "a")
+  check Alcotest.int "123456789" 0xCBF43926 (Crc32.string "123456789");
+  check Alcotest.int "empty" 0 (Crc32.string "");
+  check Alcotest.int "a" 0xE8B7BE43 (Crc32.string "a");
+  (* The zero-padded metadata block every journal, summary and audit
+     write checksums. *)
+  check Alcotest.int "4092 zero bytes" 0x603B0489 (Crc32.bytes (Bytes.make 4092 '\000'));
+  (* Lengths either side of the 8-byte stride and its double. *)
+  let fox = "The quick brown fox jumps over the lazy dog" in
+  List.iter
+    (fun (n, want) ->
+      check Alcotest.int (Printf.sprintf "fox prefix %d" n) want (Crc32.string (String.sub fox 0 n)))
+    [ (7, 0x6CA49EC6); (8, 0x74D21C74); (9, 0x5F7E3064); (15, 0xC3118C34); (16, 0xC81B2A7C); (17, 0x2FA80DDD) ]
 
 let test_crc_incremental () =
   let whole = Crc32.string "hello world" in
   let b = Bytes.of_string "hello world" in
   let acc = Crc32.update Crc32.init b ~pos:0 ~len:5 in
   let acc = Crc32.update acc b ~pos:5 ~len:6 in
-  check Alcotest.int32 "incremental = one-shot" whole (Crc32.finish acc)
+  check Alcotest.int "incremental = one-shot" whole (Crc32.finish acc)
 
 let test_crc_sub () =
   let b = Bytes.of_string "xxhelloxx" in
-  check Alcotest.int32 "sub range" (Crc32.string "hello") (Crc32.sub b ~pos:2 ~len:5)
+  check Alcotest.int "sub range" (Crc32.string "hello") (Crc32.sub b ~pos:2 ~len:5)
 
 let test_crc_bad_range () =
   Alcotest.check_raises "out of range" (Invalid_argument "Crc32.update") (fun () ->
@@ -42,6 +138,104 @@ let prop_crc_detects_single_bit_flip =
       let b = Bytes.of_string s in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
       Crc32.bytes b <> Crc32.string s)
+
+(* Random bytes of length 0-64 or one 4092-byte metadata block, with a
+   random range inside them. *)
+let arb_range =
+  QCheck.make
+    ~print:(fun (s, pos, len) -> Printf.sprintf "<%d bytes> pos=%d len=%d" (String.length s) pos len)
+    QCheck.Gen.(
+      let* n = frequency [ (4, int_bound 64); (1, return 4092) ] in
+      let* s = string_size (return n) in
+      let* pos = int_bound n in
+      let* len = int_bound (n - pos) in
+      return (s, pos, len))
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"crc32 sub = byte-at-a-time reference" ~count:300 arb_range
+    (fun (s, pos, len) ->
+      let b = Bytes.of_string s in
+      Crc32.sub b ~pos ~len = Ref_crc32.sub b ~pos ~len)
+
+(* The same content at every offset 0-15 of a larger buffer, so the
+   8-byte reads start at every alignment. *)
+let prop_crc_unaligned =
+  QCheck.Test.make ~name:"crc32 independent of buffer offset" ~count:100
+    QCheck.(string_of_size Gen.(0 -- 100))
+    (fun s ->
+      let want = Ref_crc32.sub (Bytes.of_string s) ~pos:0 ~len:(String.length s) in
+      List.for_all
+        (fun off ->
+          let b = Bytes.make (off + String.length s + 7) '\xA5' in
+          Bytes.blit_string s 0 b off (String.length s);
+          Crc32.sub b ~pos:off ~len:(String.length s) = want)
+        (List.init 16 Fun.id))
+
+let arb_split =
+  QCheck.make
+    ~print:(fun (s, cuts) ->
+      Printf.sprintf "<%d bytes> cuts=[%s]" (String.length s)
+        (String.concat ";" (List.map string_of_int cuts)))
+    QCheck.Gen.(
+      let* n = frequency [ (3, int_bound 200); (1, return 4092) ] in
+      let* s = string_size (return n) in
+      let* cuts = list_size (int_bound 5) (int_bound n) in
+      return (s, List.sort compare cuts))
+
+(* The pieces of [s] cut at [cuts], as (pos, len) ranges. *)
+let pieces s cuts =
+  let rec go from = function
+    | [] -> [ (from, String.length s - from) ]
+    | cut :: rest -> (from, cut - from) :: go cut rest
+  in
+  go 0 cuts
+
+let prop_crc_split =
+  QCheck.Test.make ~name:"crc32 update split at random points = reference" ~count:200 arb_split
+    (fun (s, cuts) ->
+      let b = Bytes.of_string s in
+      let acc = List.fold_left (fun acc (pos, len) -> Crc32.update acc b ~pos ~len) Crc32.init (pieces s cuts) in
+      Crc32.finish acc = Ref_crc32.sub b ~pos:0 ~len:(String.length s))
+
+(* --- SHA-256 ------------------------------------------------------- *)
+
+(* FIPS 180-4 / NIST CSRC example vectors. *)
+let test_sha256_fips_vectors () =
+  let cases =
+    [
+      ("empty", "", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      ("abc", "abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+      ( "448-bit",
+        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+      ( "one million 'a'",
+        String.make 1_000_000 'a',
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" );
+    ]
+  in
+  List.iter
+    (fun (name, msg, hex) ->
+      check Alcotest.string name hex (Sha256.to_hex (Sha256.digest_string msg));
+      check Alcotest.string (name ^ " (reference)") hex (Sha256.to_hex (Ref_sha256.digest msg)))
+    cases
+
+let test_sha256_bad_range () =
+  Alcotest.check_raises "out of range" (Invalid_argument "Sha256.feed_sub") (fun () ->
+      Sha256.feed_sub (Sha256.init ()) (Bytes.create 4) 2 4)
+
+let prop_sha256_matches_reference =
+  QCheck.Test.make ~name:"sha256 feed_sub range = reference" ~count:200 arb_range
+    (fun (s, pos, len) ->
+      let ctx = Sha256.init () in
+      Sha256.feed_sub ctx (Bytes.of_string s) pos len;
+      Sha256.finish ctx = Ref_sha256.digest (String.sub s pos len))
+
+let prop_sha256_split =
+  QCheck.Test.make ~name:"sha256 feed_sub split at random points = reference" ~count:200 arb_split
+    (fun (s, cuts) ->
+      let b = Bytes.of_string s and ctx = Sha256.init () in
+      List.iter (fun (pos, len) -> Sha256.feed_sub ctx b pos len) (pieces s cuts);
+      Sha256.finish ctx = Ref_sha256.digest s)
 
 (* --- RNG ----------------------------------------------------------- *)
 
@@ -441,6 +635,16 @@ let () =
           Alcotest.test_case "sub range" `Quick test_crc_sub;
           Alcotest.test_case "bad range" `Quick test_crc_bad_range;
           qtest prop_crc_detects_single_bit_flip;
+          qtest prop_crc_matches_reference;
+          qtest prop_crc_unaligned;
+          qtest prop_crc_split;
+        ] );
+      ( "sha256",
+        [
+          Alcotest.test_case "FIPS 180-4 vectors" `Quick test_sha256_fips_vectors;
+          Alcotest.test_case "bad range" `Quick test_sha256_bad_range;
+          qtest prop_sha256_matches_reference;
+          qtest prop_sha256_split;
         ] );
       ( "rng",
         [
