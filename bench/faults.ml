@@ -8,12 +8,7 @@ let faults () =
   let ops = if !full_scale then 20_000 else 4_000 in
   let payload = Bytes.make 4096 'f' in
   let run_at rate =
-    let clock = Simclock.create () in
-    let disk =
-      Sim_disk.create
-        ~geometry:(Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(256 * 1024 * 1024))
-        clock
-    in
+    let disk = sized_disk 256 in
     let drive = Drive.format disk in
     let policy =
       S4_disk.Fault.create
@@ -26,7 +21,6 @@ let faults () =
         (Rng.create ~seed:(rng_seed 97))
     in
     Sim_disk.set_fault disk (Some policy);
-    let cred = Rpc.user_cred ~user:1 ~client:1 in
     let oids =
       Drive.submit drive cred (Array.init 8 (fun _ -> Rpc.Create { acl = [] }))
       |> Array.to_list
@@ -47,7 +41,7 @@ let faults () =
       | _ -> incr completed
     done;
     Sim_disk.set_fault disk None;
-    let secs = Int64.to_float (Simclock.now clock) /. 1e9 in
+    let secs = Simclock.seconds (Sim_disk.clock disk) in
     let retries = (Log.stats (Drive.log drive)).Log.io_retries in
     ( rate,
       float_of_int !completed /. secs,
@@ -172,12 +166,7 @@ let intrusion () =
       [ "cell"; "objects"; "bytes"; "detect mean s"; "detect worst s"; "rollback s";
         "rec ops/s"; "oracle" ]
     rows;
-  Report.write_json ~experiments:[ "intrusion" ] "BENCH_intrusion.json";
-  Report.note "wrote BENCH_intrusion.json";
   Report.note
     "every cell is oracle-gated: all five attack classes detected, zero surviving attacker \
      mutations, zero lost legitimate writes, audit chain verified end to end";
-  if !failures > 0 then begin
-    Printf.eprintf "intrusion: %d cells violated the recovery oracle\n" !failures;
-    exit 1
-  end
+  if !failures > 0 then fail "%d cells violated the recovery oracle" !failures

@@ -6,15 +6,18 @@
      bench/main.exe                 run everything at default scale
      bench/main.exe fig3 fig5       run selected experiments
      bench/main.exe --full ...      paper-scale parameters (slower)
-     bench/main.exe --json FILE ... also dump recorded series as JSON
      bench/main.exe --seed N ...    override the workload RNG seed
+
+   Each experiment run writes the rows it recorded to
+   BENCH_<name>.json in the current directory. An experiment whose
+   oracle or acceptance gate fails still writes its JSON, then the
+   driver exits 1.
 
    Results are simulated time on the modelled 1999-era testbed (Cheetah
    disk, 100 Mb Ethernet, 600 MHz server); shapes, not wall-clock, are
    the point. EXPERIMENTS.md records paper-vs-measured. *)
 
-(* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
+module Report = S4_analysis.Report
 
 let experiments : (string * string * (unit -> unit)) list =
   [
@@ -34,7 +37,7 @@ let experiments : (string * string * (unit -> unit)) list =
     ("scale", "sharded-array throughput scaling + rebalance cost", Scaling.scale);
     ("net", "wire protocol: in-process vs loopback vs TCP + batch depth", Network.net);
     ("batch", "vectored submission group-commit sweep, batch size 1..64", Durability.batch);
-    ("integrity", "audit-chain seal overhead vs unsealed, batch size 1..64", Durability.integrity_bench);
+    ("integrity", "audit-chain seal overhead vs unsealed, batch size 1..64", Durability.integrity);
     ("persist", "sector-store backings: sim vs file", Durability.persist);
     ("kill9", "kill -9 a live server at random points; verify acked syncs", Durability.kill9);
     ("intrusion", "attacker campaigns: detect, attribute, roll back (oracle-gated)", Faults.intrusion);
@@ -49,15 +52,23 @@ let default_run =
   [ "table1"; "fig2"; "fig3"; "fig4"; "fundamental"; "fig6"; "audit-macro"; "fig7"; "diffstudy";
     "snapshots"; "ablation"; "faults"; "scale"; "net"; "batch"; "integrity"; "persist"; "micro" ]
 
+let run (name, _, f) =
+  Report.reset ();
+  let failure = try f (); None with Harness.Failed msg -> Some msg in
+  let file = "BENCH_" ^ name ^ ".json" in
+  Report.write_json file;
+  Report.note ("wrote " ^ file);
+  Option.iter
+    (fun msg ->
+      Printf.eprintf "%s: %s\n" name msg;
+      exit 1)
+    failure
+
 let () =
-  let json_file = ref None in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--full" :: rest ->
       Harness.full_scale := true;
-      parse acc rest
-    | "--json" :: file :: rest ->
-      json_file := Some file;
       parse acc rest
     | "--seed" :: n :: rest ->
       (match int_of_string_opt n with
@@ -66,7 +77,7 @@ let () =
         Printf.eprintf "--seed expects an integer, got %S\n" n;
         exit 1);
       parse acc rest
-    | [ ("--json" | "--seed") ] ->
+    | [ "--seed" ] ->
       Printf.eprintf "missing value for trailing flag\n";
       exit 1
     | a :: rest -> parse (a :: acc) rest
@@ -76,15 +87,10 @@ let () =
   List.iter
     (fun name ->
       match List.find_opt (fun (n, _, _) -> n = name) experiments with
-      | Some (_, _, f) -> f ()
+      | Some e -> run e
       | None ->
         Printf.eprintf "unknown experiment %S; available: %s\n" name
           (String.concat ", " (List.map (fun (n, _, _) -> n) experiments));
         exit 1)
     selected;
-  (match !json_file with
-  | Some file ->
-    S4_analysis.Report.write_json file;
-    Printf.printf "\nwrote %s\n" file
-  | None -> ());
   print_newline ()

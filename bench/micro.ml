@@ -7,13 +7,7 @@ let micro () =
   Report.heading "Micro-benchmarks (bechamel; real host time per operation)";
   let open Bechamel in
   let mk_store () =
-    let clock = Simclock.create () in
-    let disk =
-      Sim_disk.create
-        ~geometry:(Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(256 * 1024 * 1024))
-        clock
-    in
-    let log = Log.create disk in
+    let log = Log.create (sized_disk 256) in
     Store.create ~config:{ Store.default_config with keep_data = false } log
   in
   let store = mk_store () in

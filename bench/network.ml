@@ -7,53 +7,43 @@ let net () =
   Report.heading "Net: wire-protocol overhead — in-process vs loopback vs TCP (wall-clock)";
   let ops = if !full_scale then 20_000 else 4_000 in
   let payload = Bytes.make 1024 'x' in
-  let cred = Rpc.user_cred ~user:1 ~client:1 in
-  let mk_drive () =
-    let clock = Simclock.create () in
-    Drive.format ~config:Systems.content_drive_config
-      (Sim_disk.create ~geometry:Geometry.cheetah_9gb clock)
-  in
-  let new_oid handle =
-    match handle cred ?sync:None (Rpc.Create { acl = Acl.default ~owner:1 }) with
-    | Rpc.R_oid oid -> oid
-    | r -> Format.kasprintf failwith "net bench: create failed: %a" Rpc.pp_resp r
-  in
+  let mk_drive () = format_drive Systems.content_drive_config (Simclock.create ()) in
   (* The same simulated drive work flows down every path; the wall-clock
      difference is what the codec, the session engine and the socket add. *)
-  let run_path label (handle : Rpc.credential -> ?sync:bool -> Rpc.req -> Rpc.resp) =
-    let oid = new_oid handle in
-    ignore (handle cred (Rpc.Write { oid; off = 0; len = 1024; data = Some payload }));
-    let secs, () =
-      wall (fun () ->
-          for _ = 1 to ops / 2 do
-            ignore (handle cred (Rpc.Write { oid; off = 0; len = 1024; data = Some payload }));
-            ignore (handle cred (Rpc.Read { oid; off = 0; len = 1024; at = None }))
-          done)
+  let run_path label (b : Backend.t) =
+    let oid = (create_objects b.Backend.submit 1).(0) in
+    let op req = ignore (Backend.handle b cred req) in
+    op (Rpc.Write { oid; off = 0; len = 1024; data = Some payload });
+    let t =
+      measure (fun () ->
+          ( b.Backend.clock,
+            (fun () ->
+              for _ = 1 to ops / 2 do
+                op (Rpc.Write { oid; off = 0; len = 1024; data = Some payload });
+                op (Rpc.Read { oid; off = 0; len = 1024; at = None })
+              done),
+            ignore ))
     in
-    let us_per_op = secs *. 1e6 /. float_of_int ops in
+    let us_per_op = t.wall_s *. 1e6 /. float_of_int ops in
     Report.record ~experiment:"net" ~label
       [
         ("ops", float_of_int ops);
-        ("wall_seconds", secs);
+        ("wall_seconds", t.wall_s);
         ("us_per_op", us_per_op);
-        ("ops_per_second", float_of_int ops /. secs);
+        ("ops_per_second", float_of_int ops /. t.wall_s);
       ];
-    (label, us_per_op, float_of_int ops /. secs)
+    (label, us_per_op, float_of_int ops /. t.wall_s)
   in
-  let inproc = run_path "in-process" (Backend.handle (Drive.backend (mk_drive ()))) in
+  let inproc = run_path "in-process" (Drive.backend (mk_drive ())) in
   let loop_row =
-    let srv = Netserver.of_drive (mk_drive ()) in
-    let client = Netclient.connect (Nettransport.loopback srv) in
-    let row = run_path "loopback" (Netclient.handle client) in
+    let client = Netclient.connect (Nettransport.loopback (Netserver.of_drive (mk_drive ()))) in
+    let row = run_path "loopback" (client_backend client) in
     Netclient.close client;
     row
   in
-  let srv = Netserver.of_drive (mk_drive ()) in
-  let listener = Netserver.serve_tcp srv in
-  let client =
-    Netclient.connect (Nettransport.tcp ~host:"127.0.0.1" ~port:(Netserver.port listener))
-  in
-  let tcp_row = run_path "tcp" (Netclient.handle client) in
+  let client, stop = tcp_client (mk_drive ()) in
+  let tcp = client_backend client in
+  let tcp_row = run_path "tcp" tcp in
   Report.table
     ~header:[ "path"; "us/op"; "ops/s" ]
     (List.map
@@ -66,56 +56,59 @@ let net () =
   print_newline ();
   Report.heading "Net: TCP batch-depth sweep (1KB reads, one submit per batch)";
   let sweep_reads = if !full_scale then 4096 else 1024 in
-  let oid = new_oid (Netclient.handle client) in
-  ignore
-    (Netclient.handle client cred (Rpc.Write { oid; off = 0; len = 1024; data = Some payload }));
+  let oid = (create_objects tcp.Backend.submit 1).(0) in
+  ignore (Backend.handle tcp cred (Rpc.Write { oid; off = 0; len = 1024; data = Some payload }));
   let read = Rpc.Read { oid; off = 0; len = 1024; at = None } in
   let sweep_rows =
     List.map
       (fun depth ->
         let batches = max 1 (sweep_reads / depth) in
-        let secs, () =
-          wall (fun () ->
-              for _ = 1 to batches do
-                ignore (Netclient.submit client cred (Array.make depth read))
-              done)
+        let t =
+          measure (fun () ->
+              ( tcp.Backend.clock,
+                (fun () ->
+                  for _ = 1 to batches do
+                    ignore (tcp.Backend.submit cred (Array.make depth read))
+                  done),
+                ignore ))
         in
         let n = batches * depth in
-        let rate = float_of_int n /. secs in
+        let rate = float_of_int n /. t.wall_s in
         Report.record ~experiment:"net_pipeline" ~label:(string_of_int depth)
           [
             ("depth", float_of_int depth);
             ("reads", float_of_int n);
-            ("wall_seconds", secs);
+            ("wall_seconds", t.wall_s);
             ("reads_per_second", rate);
           ];
         [ string_of_int depth; string_of_int n; Printf.sprintf "%.0f" rate ])
       [ 1; 2; 4; 8; 16; 32 ]
   in
   Report.table ~header:[ "depth"; "reads"; "reads/s" ] sweep_rows;
-  Netclient.close client;
-  Netserver.shutdown listener;
+  stop ();
   (* PostMark through the full stack over real TCP: translator -> net
      client -> socket -> daemon -> drive. *)
   print_newline ();
   Report.heading "Net: PostMark over TCP through the wire protocol";
-  let sys, stop = Systems.s4_tcp () in
+  let sys, stop_sys = Systems.s4_tcp () in
   let pm_config =
     pm_seeded
       (if !full_scale then Postmark.default
        else { Postmark.default with Postmark.files = 500; transactions = 2_000 })
   in
-  let wall_s, pm = wall (fun () -> Postmark.run ~config:pm_config sys) in
-  stop ();
+  let t =
+    measure (fun () -> (sys.Systems.clock, (fun () -> Postmark.run ~config:pm_config sys), stop_sys))
+  in
+  let pm = t.value in
   Printf.printf "postmark over tcp: %.1f txn/s simulated, %.2f s wall\n"
-    pm.Postmark.transactions_per_second wall_s;
+    pm.Postmark.transactions_per_second t.wall_s;
   Report.record ~experiment:"net_postmark" ~label:"tcp"
     [
       ("files", float_of_int pm_config.Postmark.files);
       ("transactions", float_of_int pm_config.Postmark.transactions);
       ("transactions_per_second", pm.Postmark.transactions_per_second);
       ("transaction_seconds", pm.Postmark.transaction_seconds);
-      ("wall_seconds", wall_s);
+      ("wall_seconds", t.wall_s);
     ];
   Report.record ~experiment:"net" ~label:"counters"
     [
@@ -126,6 +119,4 @@ let net () =
       ("decode_reject", float_of_int (Metrics.counter "net/decode_reject"));
       ("retry", float_of_int (Metrics.counter "net/retry"));
       ("reconnect", float_of_int (Metrics.counter "net/reconnect"));
-    ];
-  Report.write_json ~experiments:[ "net"; "net_pipeline"; "net_postmark" ] "BENCH_net.json";
-  Report.note "wrote BENCH_net.json"
+    ]

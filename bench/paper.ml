@@ -31,13 +31,7 @@ let table1 () =
   Report.table ~header:[ "RPC"; "time-based"; "description" ]
     (List.map (fun (a, b, c) -> [ a; b; c ]) rows);
   (* Prove the matrix by exercising each RPC against a live drive. *)
-  let clock = Simclock.create () in
-  let disk =
-    Sim_disk.create
-      ~geometry:(Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(64 * 1024 * 1024))
-      clock
-  in
-  let drive = Drive.format disk in
+  let drive = Drive.format (sized_disk 64) in
   let alice = Rpc.user_cred ~user:1 ~client:1 in
   let ok = ref 0 in
   let b = Drive.backend drive in
@@ -79,13 +73,7 @@ let table1 () =
 let fig2 () =
   Report.heading "Figure 2: metadata cost per update (journal-based vs conventional versioning)";
   let scenario name offsets =
-    let clock = Simclock.create () in
-    let disk =
-      Sim_disk.create
-        ~geometry:(Geometry.with_capacity Geometry.cheetah_9gb ~bytes:(512 * 1024 * 1024))
-        clock
-    in
-    let log = Log.create disk in
+    let log = Log.create (sized_disk 512) in
     let store = Store.create ~config:{ Store.default_config with keep_data = false } log in
     let oid = Store.create_object store in
     (* Pre-size the file so updates land in indirect territory. *)

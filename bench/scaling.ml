@@ -101,46 +101,37 @@ let scale () =
   let payload = Bytes.make 4096 'd' in
   let run_mode ~shards ~domains =
     let clock = Simclock.create () in
-    let members =
-      List.init shards (fun i ->
-          ( i,
-            Router.Single
-              (Drive.format ~config:drive_config
-                 (Sim_disk.create ~geometry:Geometry.cheetah_9gb clock)) ))
+    let router =
+      Router.create (List.init shards (fun i -> (i, Router.Single (format_drive drive_config clock))))
     in
-    let router = Router.create members in
     Router.set_domains router domains;
-    let cred = Rpc.user_cred ~user:1 ~client:1 in
-    let oids =
-      Router.submit router cred
-        (Array.init files (fun _ -> Rpc.Create { acl = S4.Acl.default ~owner:1 }))
-      |> Array.map (function
-           | Rpc.R_oid oid -> oid
-           | r -> Format.kasprintf failwith "scale domains: create: %a" Rpc.pp_resp r)
-    in
+    let oids = create_objects (Router.submit router) files in
     ignore
       (Router.submit router cred ~sync:true
          (Array.map
             (fun oid -> Rpc.Write { oid; off = 0; len = 4096; data = Some payload })
             oids));
     let rng = Rng.create ~seed:(rng_seed 424) in
-    let sim0 = Simclock.now clock and wall0 = Unix.gettimeofday () in
-    for _ = 1 to batches do
-      let reqs =
-        Array.init batch (fun _ ->
-            let oid = oids.(Rng.int rng files) in
-            match Rng.int rng 4 with
-            | 0 | 1 -> Rpc.Read { oid; off = 4096 * Rng.int rng 4; len = 4096; at = None }
-            | 2 -> Rpc.Write { oid; off = 4096 * Rng.int rng 4; len = 4096; data = Some payload }
-            | _ -> Rpc.Append { oid; len = 1024; data = Some (Bytes.sub payload 0 1024) })
-      in
-      ignore (Router.submit router cred ~sync:true reqs)
-    done;
-    let wall = Unix.gettimeofday () -. wall0 in
-    let sim = Int64.to_float (Int64.sub (Simclock.now clock) sim0) /. 1e9 in
-    Router.close_domains router;
+    let t =
+      measure (fun () ->
+          ( clock,
+            (fun () ->
+              for _ = 1 to batches do
+                let reqs =
+                  Array.init batch (fun _ ->
+                      let oid = oids.(Rng.int rng files) in
+                      match Rng.int rng 4 with
+                      | 0 | 1 -> Rpc.Read { oid; off = 4096 * Rng.int rng 4; len = 4096; at = None }
+                      | 2 ->
+                        Rpc.Write { oid; off = 4096 * Rng.int rng 4; len = 4096; data = Some payload }
+                      | _ -> Rpc.Append { oid; len = 1024; data = Some (Bytes.sub payload 0 1024) })
+                in
+                ignore (Router.submit router cred ~sync:true reqs)
+              done),
+            fun () -> Router.close_domains router ))
+    in
     let ops = float_of_int (batches * batch) in
-    (ops /. sim, ops /. wall)
+    (ops /. t.sim_s, ops /. t.wall_s)
   in
   let domain_rows =
     List.map
@@ -193,10 +184,7 @@ let scale () =
   in
   ignore (Postmark.run ~config:populate sys);
   let router = Option.get sys.Systems.router in
-  let extra =
-    Drive.format ~config:Systems.benchmark_drive_config
-      (Sim_disk.create ~geometry:Geometry.cheetah_9gb sys.Systems.clock)
-  in
+  let extra = format_drive Systems.benchmark_drive_config sys.Systems.clock in
   let queued = Router.add_shard router 2 (Router.Single extra) in
   let secs, (moved, errors) =
     Systems.elapsed_seconds sys (fun () -> Router.rebalance router)
@@ -224,10 +212,7 @@ let scale () =
       ("rebalance_seconds", secs);
       ("errors", float_of_int (List.length errors));
       ("fsck_issues", float_of_int (List.length issues));
-    ];
-  Report.write_json ~experiments:[ "scale"; "scale_domains"; "scale_rebalance" ]
-    "BENCH_scale.json";
-  Report.note "wrote BENCH_scale.json"
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Readscale: replica reads + client cache + per-client fair queueing  *)
@@ -243,7 +228,6 @@ let scale () =
 let readscale () =
   let violations = ref [] in
   let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let cred = Rpc.user_cred ~user:1 ~client:1 in
   let p99 lats =
     let a = Array.of_list lats in
     Array.sort compare a;
@@ -287,13 +271,7 @@ let readscale () =
         ~shards:4 ()
     in
     let router = Option.get sys.Systems.router in
-    let oids =
-      Router.submit router cred
-        (Array.init objects (fun _ -> Rpc.Create { acl = S4.Acl.default ~owner:1 }))
-      |> Array.mapi (fun i -> function
-           | Rpc.R_oid oid -> oid
-           | r -> Format.kasprintf failwith "readscale: create %d failed: %a" i Rpc.pp_resp r)
-    in
+    let oids = create_objects (Router.submit router) objects in
     ignore
       (Router.submit router cred
          (Array.map
@@ -391,10 +369,7 @@ let readscale () =
   let file_bytes = 1024 in
   let cache_cell hot_fraction =
     let clock = Simclock.create () in
-    let drive =
-      Drive.format ~config:Systems.content_drive_config
-        (Sim_disk.create ~geometry:Geometry.cheetah_9gb clock)
-    in
+    let drive = format_drive Systems.content_drive_config clock in
     let server_config =
       { Netserver.default_config with Netserver.lease_ns = 120_000_000_000L }
     in
@@ -490,10 +465,7 @@ let readscale () =
   let one_frame xid req = Wire.encode (Wire.Batch { xid; cred; sync = false; reqs = [| req |] }) in
   let mk_pair ~qos =
     let clock = Simclock.create () in
-    let drive =
-      Drive.format ~config:Systems.content_drive_config
-        (Sim_disk.create ~geometry:Geometry.cheetah_9gb clock)
-    in
+    let drive = format_drive Systems.content_drive_config clock in
     let config =
       { Netserver.default_config with Netserver.qos; max_inflight = 4096 }
     in
@@ -614,10 +586,6 @@ let readscale () =
     violate "FIFO out-isolated WFQ (%.2f ms < %.2f ms): scheduler not engaging" (ms p99_fifo)
       (ms p99_fair);
 
-  Report.write_json
-    ~experiments:[ "readscale_mirror"; "readscale_cache"; "readscale_qos" ]
-    "BENCH_readscale.json";
-  Report.note "wrote BENCH_readscale.json";
   Report.note
     "oracle-gated: balanced reads >= 1.5x at >= 4 clients; cache hits never touch the wire \
      (lease checker clean); honest p99 under a hog within 2x of no-hog";
@@ -625,4 +593,4 @@ let readscale () =
   | [] -> ()
   | vs ->
     List.iter (fun v -> Printf.eprintf "readscale ORACLE VIOLATION: %s\n" v) (List.rev vs);
-    exit 1
+    fail "%d oracle violations" (List.length vs)

@@ -64,6 +64,5 @@ let trace () =
   in
   let r1 = run_one ~experiment:"trace_drive" ~label:"drive" (Systems.s4_remote ()) in
   let r2 = run_one ~experiment:"trace_array" ~label:"array4" (Systems.s4_array ~shards:4 ()) in
-  Report.write_json ~experiments:[ "trace_drive"; "trace_array"; "trace_spans" ] "BENCH_trace.json";
-  Report.note "wrote BENCH_trace.json";
-  if r1.Check.violations <> [] || r2.Check.violations <> [] then exit 1
+  let violations = List.length r1.Check.violations + List.length r2.Check.violations in
+  if violations > 0 then fail "%d checker violations" violations
