@@ -73,6 +73,7 @@ let user_arg =
   Arg.(value & opt int 1 & info [ "user" ] ~docv:"UID" ~doc:"Acting user id (admin tools ignore this).")
 
 type session = {
+  image : string;
   clock : Simclock.t;
   disk : Sim_disk.t;
   drive : Drive.t;
@@ -83,8 +84,11 @@ let die m =
   prerr_endline ("error: " ^ m);
   exit 1
 
-(* A missing, foreign or corrupt store is one "error: PATH: ..." line
-   and exit 1 (File_disk's own messages already start with the path). *)
+(* A missing, foreign, corrupt or full store is one "error: PATH: ..."
+   line and exit 1 (File_disk's own messages already start with the
+   path). *)
+let store_full image = die (image ^ ": store full")
+
 let open_session image user =
   let disk, drive =
     try
@@ -94,17 +98,20 @@ let open_session image user =
     | Failure m -> die m
     | Invalid_argument m -> die (image ^ ": " ^ m)
     | Unix.Unix_error (e, _, _) -> die (image ^ ": " ^ Unix.error_message e)
+    | Log.Log_full -> store_full image
   in
   let clock = Sim_disk.clock disk in
   let tr = Translator.mount ~cred:(Rpc.user_cred ~user ~client:1) (Translator.Local drive) in
   (* Each CLI invocation is a new instant. *)
   Simclock.advance clock (Simclock.of_seconds 1.0);
-  { clock; disk; drive; tr }
+  { image; clock; disk; drive; tr }
 
 let close_session s =
   (match Backend.handle (Drive.backend s.drive) Rpc.admin_cred Rpc.Sync with Rpc.R_unit -> () | _ -> ());
-  Audit.flush (Drive.audit s.drive);
-  Log.sync (Drive.log s.drive);
+  (try
+     Audit.flush (Drive.audit s.drive);
+     Log.detach (Drive.log s.drive)
+   with Log.Log_full -> store_full s.image);
   Sim_disk.close s.disk
 
 (* --- remote sessions (s4cli --connect) -------------------------------- *)
@@ -184,7 +191,7 @@ let cmd_format =
     let tr = Translator.mount (Translator.Local drive) in
     ignore tr;
     Audit.flush (Drive.audit drive);
-    Log.sync (Drive.log drive);
+    Log.detach (Drive.log drive);
     Sim_disk.close disk;
     Printf.printf "formatted %s: %d MB self-securing drive, %.1f-day window\n" image size_mb
       window_days

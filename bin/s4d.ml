@@ -88,6 +88,7 @@ let run image host port max_frame max_inflight max_batch no_admin max_seconds =
     | Failure m -> die m
     | Invalid_argument m -> die (image ^ ": " ^ m)
     | Unix.Unix_error (e, _, _) -> die (image ^ ": " ^ Unix.error_message e)
+    | Log.Log_full -> die (image ^ ": store full")
   in
   let config =
     {
@@ -133,9 +134,11 @@ let run image host port max_frame max_inflight max_batch no_admin max_seconds =
    | exception e -> fail "final Sync raised: %s" (Printexc.to_string e));
   (try
      Audit.flush (Drive.audit drive);
-     Log.sync (Drive.log drive);
+     Log.detach (Drive.log drive);
      Sim_disk.close disk
-   with e -> fail "%s" (Printexc.to_string e));
+   with
+   | Log.Log_full -> die (image ^ ": store full")
+   | e -> fail "%s" (Printexc.to_string e));
   Printf.printf "s4d: store synced\n%!"
 
 let () =

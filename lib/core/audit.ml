@@ -320,14 +320,17 @@ let on_move t ~old_addr ~new_addr =
 
 (* Assemble chain items from the persisted log. Forensic [Log.peek]
    (uncharged) — verification is an offline examination, not workload
-   I/O. A block the drive believes is live but no longer decodes is
-   reported as Bad; seal-magic and record-magic blocks route to their
-   item kinds. *)
+   I/O. Only live blocks count: an expired block stays tagged until the
+   cleaner reclaims its segment, and walking it would make the expired
+   region look like records missing from the middle of the chain. A
+   block the drive believes is live but no longer decodes is reported
+   as Bad; seal-magic and record-magic blocks route to their item
+   kinds. *)
 let chain_items t =
   List.filter_map
     (fun (addr, tag) ->
       match tag with
-      | Tag.Audit -> (
+      | Tag.Audit when Log.is_live t.log addr -> (
         let b = Log.peek t.log addr in
         match decode_seal b with
         | Some s -> Some (Chain.Seal s)

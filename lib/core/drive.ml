@@ -443,8 +443,8 @@ let barrier t =
   (* The durability barrier that ends a synced batch (group commit):
      audit records buffered so far must survive a crash once the
      barrier returns (the audit-at-Sync invariant), then the
-     store itself is made stable. A media fault here means the caller
-     must not be told its mutations are durable. *)
+     store itself is made stable. A media fault or a full log here
+     means the caller must not be told its mutations are durable. *)
   let io_failed lba transient kind =
     t.io_errors <- t.io_errors + 1;
     Some
@@ -460,6 +460,7 @@ let barrier t =
   with
   | Fault.Read_fault { lba; transient } -> io_failed lba transient "sync read"
   | Fault.Write_fault { lba; transient } -> io_failed lba transient "sync write"
+  | Log.Log_full -> Some Rpc.No_space
 
 let handle_one t (cred : Rpc.credential) req =
   if not (Trace.on ()) then handle_inner t cred req

@@ -95,51 +95,40 @@ let bit_set b i v =
   let byte = if v then byte lor mask else byte land lnot mask in
   Bytes.set b (i lsr 3) (Char.chr byte)
 
+let reclaim_dead_segments t =
+  let freed = ref 0 in
+  Array.iter
+    (fun sg ->
+      if sg.state = Closed && sg.live = 0 then begin
+        sg.state <- Free;
+        sg.written <- 0;
+        sg.epoch <- 0;
+        Array.fill sg.tags 0 (Array.length sg.tags) None;
+        Bytes.fill sg.live_bits 0 (Bytes.length sg.live_bits) '\000';
+        incr freed
+      end)
+    t.segs;
+  t.s.segments_reclaimed <- t.s.segments_reclaimed + !freed;
+  !freed
+
 let open_segment_exn t =
   let n = t.nsegs in
   let rec find tried =
-    if tried >= n then begin
-      if t.auto_reclaim then begin
-        let freed = ref 0 in
-        Array.iter
-          (fun sg ->
-            if sg.state = Closed && sg.live = 0 then begin
-              sg.state <- Free;
-              sg.written <- 0;
-              sg.epoch <- 0;
-              Array.fill sg.tags 0 (Array.length sg.tags) None;
-              Bytes.fill sg.live_bits 0 (Bytes.length sg.live_bits) '\000';
-              incr freed
-            end)
-          t.segs;
-        t.s.segments_reclaimed <- t.s.segments_reclaimed + !freed;
-        if !freed = 0 then raise Log_full else find_again ()
-      end
-      else raise Log_full
-    end
-    else begin
+    if tried >= n then None
+    else
       let i = (t.rotor + tried) mod n in
       if t.segs.(i).state = Free then begin
         t.rotor <- (i + 1) mod n;
-        i
+        Some i
       end
       else find (tried + 1)
-    end
-  and find_again () =
-    let rec loop tried =
-      if tried >= n then raise Log_full
-      else begin
-        let i = (t.rotor + tried) mod n in
-        if t.segs.(i).state = Free then begin
-          t.rotor <- (i + 1) mod n;
-          i
-        end
-        else loop (tried + 1)
-      end
-    in
-    loop 0
   in
-  let i = find 0 in
+  let i =
+    match find 0 with
+    | Some i -> i
+    | None when t.auto_reclaim && reclaim_dead_segments t > 0 -> Option.get (find 0)
+    | None -> raise Log_full
+  in
   let sg = t.segs.(i) in
   t.epoch_counter <- t.epoch_counter + 1;
   sg.state <- Open;
@@ -267,16 +256,19 @@ let flush_buffered t =
     t.s.flush_ops <- t.s.flush_ops + 1
   end
 
+(* Write [sg]'s summary covering its first [count] slots. A full
+   summary ([count = usable]) closes the segment; a shorter one records
+   where its writer stopped, so {!reattach} knows the rest is unused. *)
+let write_summary t sg ~count =
+  let tags = Array.init count (fun slot -> Option.value sg.tags.(slot) ~default:Tag.Unknown) in
+  let summary = Summary.encode ~block_size:t.block_size { Summary.epoch = sg.epoch; tags } in
+  disk_write t ~addr:(addr_of t ~seg:sg.index ~slot:t.usable) ~data:summary ();
+  t.s.summaries_written <- t.s.summaries_written + 1
+
 let close_segment t =
   flush_buffered t;
   let sg = t.segs.(t.current) in
-  let tags =
-    Array.map (function Some tg -> tg | None -> Tag.Summary (* unreachable *)) sg.tags
-  in
-  let summary = Summary.encode ~block_size:t.block_size { Summary.epoch = sg.epoch; tags } in
-  let saddr = addr_of t ~seg:sg.index ~slot:t.usable in
-  disk_write t ~addr:saddr ~data:summary ();
-  t.s.summaries_written <- t.s.summaries_written + 1;
+  write_summary t sg ~count:t.usable;
   sg.state <- Closed;
   open_segment_exn t
 
@@ -332,6 +324,12 @@ let sync t =
          after the buffered blocks reach the backing file. Memory
          backings ignore it. *)
       Sim_disk.barrier t.disk)
+
+let detach t =
+  flush_buffered t;
+  let sg = t.segs.(t.current) in
+  if sg.state = Open then write_summary t sg ~count:t.frontier;
+  Sim_disk.barrier t.disk
 
 let write_superblock t payload =
   if Bytes.length payload > t.block_size then invalid_arg "Log.write_superblock: too big";
@@ -443,21 +441,10 @@ let all_tagged t =
   done;
   !acc
 
-let reclaim_dead_segments t =
-  let freed = ref 0 in
-  Array.iter
-    (fun sg ->
-      if sg.state = Closed && sg.live = 0 then begin
-        sg.state <- Free;
-        sg.written <- 0;
-        sg.epoch <- 0;
-        Array.fill sg.tags 0 (Array.length sg.tags) None;
-        Bytes.fill sg.live_bits 0 (Bytes.length sg.live_bits) '\000';
-        incr freed
-      end)
-    t.segs;
-  t.s.segments_reclaimed <- t.s.segments_reclaimed + !freed;
-  !freed
+let nonzero b =
+  let n = Bytes.length b in
+  let rec go i = i < n && (Bytes.unsafe_get b i <> '\000' || go (i + 1)) in
+  go 0
 
 let reattach disk =
   let t = create disk in
@@ -480,27 +467,30 @@ let reattach disk =
     let saddr = addr_of t ~seg ~slot:t.usable in
     let sblock = Sim_disk.peek disk ~lba:(lba_of t saddr) ~sectors:t.spb in
     disk_read t ~addr:saddr ~blocks:1;
+    let block slot = Sim_disk.peek disk ~lba:(lba_of t (addr_of t ~seg ~slot)) ~sectors:t.spb in
+    let rec unused_from slot =
+      slot >= t.usable || ((not (nonzero (block slot))) && unused_from (slot + 1))
+    in
     match Summary.decode sblock with
-    | Some { Summary.epoch; tags } ->
+    | Some { Summary.epoch; tags }
+      when Array.length tags <= t.usable && unused_from (Array.length tags) ->
+      (* A full summary, or a partial one whose segment holds nothing
+         past it. A partial summary with blocks past it belongs to a
+         writer that resumed the segment and then crashed; that
+         segment is probed below like any other crashed one. *)
       sg.state <- Closed;
       sg.epoch <- epoch;
-      sg.written <- t.usable;
-      Array.iteri (fun slot tag -> if slot < t.usable then sg.tags.(slot) <- Some tag) tags;
+      sg.written <- Array.length tags;
+      Array.iteri (fun slot tag -> sg.tags.(slot) <- Some tag) tags;
       if epoch > t.epoch_counter then t.epoch_counter <- epoch
-    | None ->
+    | _ ->
       (* Possibly an open (crashed) segment: probe slots for
          self-identifying journal blocks; treat any such segment as
          consumed up to its last decodable block. *)
       let last = ref (-1) in
       let tmax = ref Int64.min_int in
-      let nonzero b =
-        let n = Bytes.length b in
-        let rec go i = i < n && (Bytes.unsafe_get b i <> '\000' || go (i + 1)) in
-        go 0
-      in
       for slot = 0 to t.usable - 1 do
-        let a = addr_of t ~seg ~slot in
-        let b = Sim_disk.peek disk ~lba:(lba_of t a) ~sectors:t.spb in
+        let b = block slot in
         match Jblock.decode b with
         | Some (_, entries) ->
           sg.tags.(slot) <- Some Tag.Journal;
@@ -528,21 +518,38 @@ let reattach disk =
      is monotonic, so it reflects write order; physical index breaks
      ties for segments with no decodable journal blocks) and hand out
      fresh epochs above [epoch_counter], advancing it past them so the
-     segment opened next — and everything after — sorts later still. *)
+     segment opened next — and everything after — sorts later still.
+     Each gets a partial summary now, so its place in that order
+     survives later summaries and attaches. *)
   List.sort
     (fun (sa, ta) (sb, tb) ->
       if ta <> tb then Int64.compare ta tb else compare sa sb)
     !crashed
   |> List.iter (fun (seg, _) ->
+         let sg = t.segs.(seg) in
          t.epoch_counter <- t.epoch_counter + 1;
-         t.segs.(seg).epoch <- t.epoch_counter);
-  (* Every block is still dead here (the owners re-mark them after this
-     returns), so a full log must not reclaim now: that would free every
-     segment and lose the whole store. Park on the newest summarised
-     segment instead, the state a log that fills at run time is left
-     in; the first append retries the close and reclaims then. *)
-  if free_segments t > 0 then open_segment_exn t
+         sg.epoch <- t.epoch_counter;
+         write_summary t sg ~count:sg.written);
+  if !crashed <> [] then Sim_disk.barrier disk;
+  let newest = Array.fold_left (fun a sg -> if sg.epoch > a.epoch then sg else a) t.segs.(0) t.segs in
+  if newest.state = Closed && newest.written < t.usable && not (List.mem_assoc newest.index !crashed)
+  then begin
+    (* The last writer detached cleanly with room left: append after
+       its last block instead of leaving the rest of the segment
+       unused. After a crash the next segment is opened instead. *)
+    newest.state <- Open;
+    t.current <- newest.index;
+    t.frontier <- newest.written;
+    t.flushed <- newest.written
+  end
+  else if free_segments t > 0 then open_segment_exn t
   else begin
+    (* Every block is still dead here (the owners re-mark them after
+       this returns), so a full log must not reclaim now: that would
+       free every segment and lose the whole store. Park on the newest
+       summarised segment instead, the state a log that fills at run
+       time is left in; the first append retries the close and
+       reclaims then. *)
     let segs = Array.to_list t.segs in
     let candidates =
       match List.filter (fun sg -> not (List.mem_assoc sg.index !crashed)) segs with

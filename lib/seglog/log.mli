@@ -92,6 +92,13 @@ val sync : t -> unit
 (** Flush buffered blocks of the open segment to disk (one sequential
     write). Cheap no-op when nothing is buffered. *)
 
+val detach : t -> unit
+(** Clean shutdown: flush buffered blocks, record the open segment's
+    extent in a partial summary and fsync. The next {!reattach} resumes
+    appending after the last block instead of opening a fresh segment,
+    so a store attached and detached many times does not use up one
+    segment per attach. Append nothing to [t] afterwards. *)
+
 val write_superblock : t -> Bytes.t -> unit
 (** Overwrite the (in-place) superblock, padded to one block. *)
 
@@ -141,8 +148,11 @@ val stats : t -> stats
 val reattach : S4_disk.Sim_disk.t -> t
 (** Rebuild log state from disk contents after a "crash": segment
     summaries identify closed segments; unsummarised segments are
-    probed for self-identifying blocks. All blocks start dead — the
-    store re-marks live blocks as it replays the journal. *)
+    probed for self-identifying blocks and given a partial summary that
+    fixes their place in the write order. If the newest segment was
+    left by {!detach}, appends resume in it; otherwise a fresh segment
+    is opened. All blocks start dead — the store re-marks live blocks
+    as it replays the journal. *)
 
 val mark_live : t -> addr -> Tag.t -> unit
 (** Declare a block live during recovery (idempotent). *)

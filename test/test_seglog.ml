@@ -309,6 +309,27 @@ let test_reattach_full_log_keeps_segments () =
        false
      with Log.Log_full -> true)
 
+(* Regression: every attach used to open a fresh segment and leave the
+   previous one's tail unused, so a small store ran out of segments
+   after a handful of attach/append/detach cycles. A cleanly detached
+   log resumes appending in its segment. *)
+let test_reattach_resumes_detached_segment () =
+  let _, disk, log = mk () in
+  let free0 = Log.free_segments log in
+  Log.detach log;
+  for seq = 1 to 40 do
+    let log = Log.reattach disk in
+    ignore (Log.append log Tag.Journal ~data:(Jblock.encode ~block_size:4096 ~prev:(-1) [ je 6L seq 0 "" ]) ());
+    Log.sync log;
+    Log.detach log
+  done;
+  let log = Log.reattach disk in
+  check Alcotest.int "no segment used up per cycle" free0 (Log.free_segments log);
+  check (Alcotest.list Alcotest.int) "every append recovered in order" (List.init 40 succ)
+    (List.concat_map
+       (fun (_, _, entries) -> List.map (fun e -> e.Jblock.seq) entries)
+       (Log.journal_blocks log))
+
 let test_all_tagged () =
   let _, _, log = mk () in
   let a = Log.append log Tag.Journal () in
@@ -395,6 +416,7 @@ let () =
           Alcotest.test_case "open segment probe" `Quick test_reattach_open_segment_probed;
           Alcotest.test_case "unsynced lost" `Quick test_reattach_loses_unsynced;
           Alcotest.test_case "full log keeps segments" `Quick test_reattach_full_log_keeps_segments;
+          Alcotest.test_case "detached segment resumed" `Quick test_reattach_resumes_detached_segment;
           Alcotest.test_case "mark live" `Quick test_mark_live_after_reattach;
           Alcotest.test_case "all_tagged" `Quick test_all_tagged;
         ] );
