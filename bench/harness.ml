@@ -45,8 +45,8 @@ let pm_seeded (c : Postmark.config) =
 
 let rng_seed default = Option.value !seed_override ~default
 
-(* An experiment whose oracle or acceptance gate fails raises this; the
-   driver still writes the experiment's JSON, then exits 1. *)
+(* An experiment whose oracle or acceptance gate fails raises this;
+   bench/main.ml still writes the experiment's JSON, then exits 1. *)
 exception Failed of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Failed s)) fmt

@@ -10,8 +10,8 @@
 
    Each experiment run writes the rows it recorded to
    BENCH_<name>.json in the current directory. An experiment whose
-   oracle or acceptance gate fails still writes its JSON, then the
-   driver exits 1.
+   oracle or acceptance gate fails still writes its JSON, then the run
+   stops with exit status 1.
 
    Results are simulated time on the modelled 1999-era testbed (Cheetah
    disk, 100 Mb Ethernet, 600 MHz server); shapes, not wall-clock, are
