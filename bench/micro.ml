@@ -36,6 +36,15 @@ let micro () =
       }
   in
   let write_1k_frame = S4_net.Wire.encode write_1k in
+  (* The block path under every log append: a 4 KB write into a 16 MB
+     memory-backed disk at the next block (wrapping), a 4 KB read back,
+     and the padded encoding of a ~100-byte metadata body. *)
+  let disk = sized_disk 16 in
+  let disk_sectors = Sim_disk.capacity_sectors disk in
+  let next_lba = ref 0 in
+  Sim_disk.write disk ~data:payload ~lba:4096 ~sectors:8 ();
+  let body = S4_util.Bcodec.writer () in
+  S4_util.Bcodec.w_raw body (Bytes.sub payload 0 100);
   let tests =
     [
       Test.make ~name:"store-write-4k"
@@ -45,6 +54,16 @@ let micro () =
       Test.make ~name:"store-sync" (Staged.stage (fun () -> Store.sync store));
       Test.make ~name:"crc32-4k" (Staged.stage (fun () -> ignore (S4_util.Crc32.bytes payload)));
       Test.make ~name:"crc32-64" (Staged.stage (fun () -> ignore (S4_util.Crc32.bytes small)));
+      Test.make ~name:"crc32-zeros-4k"
+        (Staged.stage (fun () -> ignore (S4_util.Crc32.zeros S4_util.Crc32.init 4096)));
+      Test.make ~name:"block-encode-4k"
+        (Staged.stage (fun () -> ignore (S4_util.Bcodec.block body ~block_size:4096)));
+      Test.make ~name:"sim-disk-write-4k"
+        (Staged.stage (fun () ->
+             Sim_disk.write disk ~data:payload ~lba:!next_lba ~sectors:8 ();
+             next_lba := (!next_lba + 8) mod disk_sectors));
+      Test.make ~name:"sim-disk-peek-4k"
+        (Staged.stage (fun () -> ignore (Sim_disk.peek disk ~lba:4096 ~sectors:8)));
       Test.make ~name:"sha256-record-96"
         (Staged.stage (fun () -> ignore (S4_util.Sha256.digest_bytes record)));
       Test.make ~name:"sha256-4k" (Staged.stage (fun () -> ignore (S4_util.Sha256.digest_bytes payload)));

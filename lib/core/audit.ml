@@ -1,5 +1,4 @@
 module Bcodec = S4_util.Bcodec
-module Crc32 = S4_util.Crc32
 module Simclock = S4_util.Simclock
 module Chain = S4_integrity.Chain
 module Log = S4_seglog.Log
@@ -127,31 +126,17 @@ let encode_block block_size ~start ~prior records_chrono =
   Bcodec.w_raw w (Bytes.of_string prior);
   Bcodec.w_int w (List.length records_chrono);
   List.iter (fun r -> w_record w ~base r) records_chrono;
-  let body = Bcodec.contents w in
-  if Bytes.length body + 4 > block_size then invalid_arg "Audit: block overflow";
-  let out = Bytes.make block_size '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  Bcodec.set_u32 out (block_size - 4) (Crc32.sub out ~pos:0 ~len:(block_size - 4));
-  out
+  Bcodec.block w ~block_size
 
 (* Decodes exactly the layout [encode_block] writes: records plus the
    block's chain position (start index, prior head). *)
 let decode_block_chained b =
-  let n = Bytes.length b in
-  if n < 18 || Bcodec.get_u16 b 0 <> magic then None
-  else begin
-    if Bcodec.get_u32 b (n - 4) <> Crc32.sub b ~pos:0 ~len:(n - 4) then None
-    else begin
-      try
-        let rd = Bcodec.reader ~pos:2 b in
-        let base = Bcodec.r_i64 rd in
-        let start = Bcodec.r_int rd in
-        let prior = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
-        let count = Bcodec.r_int rd in
-        Some (List.init count (fun _ -> r_record rd ~base), (start, prior))
-      with Bcodec.Decode_error _ -> None
-    end
-  end
+  Bcodec.read_block b ~magic (fun rd ->
+      let base = Bcodec.r_i64 rd in
+      let start = Bcodec.r_int rd in
+      let prior = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
+      let count = Bcodec.r_int rd in
+      (List.init count (fun _ -> r_record rd ~base), (start, prior)))
 
 let decode_block b = Option.map fst (decode_block_chained b)
 
@@ -163,30 +148,15 @@ let encode_seal block_size (s : Chain.seal) =
   Bcodec.w_int w s.Chain.s_head.Chain.records;
   Bcodec.w_i64 w s.Chain.s_at;
   Bcodec.w_raw w (Bytes.of_string s.Chain.s_head.Chain.hash);
-  let body = Bcodec.contents w in
-  if Bytes.length body + 4 > block_size then invalid_arg "Audit: seal overflow";
-  let out = Bytes.make block_size '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  Bcodec.set_u32 out (block_size - 4) (Crc32.sub out ~pos:0 ~len:(block_size - 4));
-  out
+  Bcodec.block w ~block_size
 
 let decode_seal b : Chain.seal option =
-  let n = Bytes.length b in
-  if n < 10 then None
-  else if Bcodec.get_u16 b 0 <> seal_magic then None
-  else begin
-    if Bcodec.get_u32 b (n - 4) <> Crc32.sub b ~pos:0 ~len:(n - 4) then None
-    else begin
-      try
-        let rd = Bcodec.reader ~pos:2 b in
-        let epoch = Bcodec.r_int rd in
-        let records = Bcodec.r_int rd in
-        let s_at = Bcodec.r_i64 rd in
-        let hash = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
-        Some { Chain.s_head = { Chain.epoch; records; hash }; s_at }
-      with Bcodec.Decode_error _ -> None
-    end
-  end
+  Bcodec.read_block b ~magic:seal_magic (fun rd ->
+      let epoch = Bcodec.r_int rd in
+      let records = Bcodec.r_int rd in
+      let s_at = Bcodec.r_i64 rd in
+      let hash = Bytes.to_string (Bcodec.r_raw rd Chain.hash_len) in
+      { Chain.s_head = { Chain.epoch; records; hash }; s_at })
 
 let flush_block t =
   match t.buffer with
@@ -350,64 +320,64 @@ let verify ?from ?lenient_tail t = Chain.verify ?from ?lenient_tail (chain_items
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 
-let recover t =
-  let record_blocks = ref [] in
+let recover t ~cutoff =
+  (* The cleaner leaves the old copy of a block it moved tagged until
+     its segment is reclaimed: keep one copy per chain start (per epoch
+     for seals), the one in the newest segment. *)
+  let segs = Log.segments t.log in
+  let seg_epoch addr = segs.(Log.seg_of t.log addr).Log.seg_epoch in
+  let keep_newest tbl key addr v =
+    match Hashtbl.find_opt tbl key with
+    | Some (a, _) when seg_epoch a > seg_epoch addr -> ()
+    | _ -> Hashtbl.replace tbl key (addr, v)
+  in
+  let blocks = Hashtbl.create 64 and seals = Hashtbl.create 16 in
   List.iter
     (fun (addr, tag) ->
       match tag with
       | Tag.Audit | Tag.Unknown -> (
         let b = Log.peek t.log addr in
         match decode_seal b with
-        | Some s ->
-          Log.mark_live t.log addr Tag.Audit;
-          t.seals <- (addr, s) :: t.seals
+        | Some s -> keep_newest seals s.Chain.s_head.Chain.epoch addr s
         | None -> (
           match decode_block_chained b with
-          | Some ([], _) -> ()
-          | Some (rs, (start, prior)) ->
-            let newest = List.fold_left (fun acc r -> max acc r.at) 0L rs in
-            Log.mark_live t.log addr Tag.Audit;
-            t.nrecords <- t.nrecords + List.length rs;
-            t.blocks <- (addr, newest) :: t.blocks;
-            record_blocks := (start, prior, rs) :: !record_blocks
-          | None -> ()))
+          | Some ([], _) | None -> ()
+          | Some (rs, (start, prior)) -> keep_newest blocks start addr (rs, prior)))
       | _ -> ())
     (Log.all_tagged t.log);
-  t.blocks <- List.sort (fun (_, a) (_, b) -> compare b a) t.blocks;
-  t.seals <-
-    List.sort
-      (fun (_, (a : Chain.seal)) (_, b) -> compare b.Chain.s_head.Chain.epoch a.Chain.s_head.Chain.epoch)
-      t.seals;
-  (match t.seals with
-   | (_, s) :: _ -> t.last_seal <- s.Chain.s_head
-   | [] -> ());
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  List.iter
+    (fun (_, (addr, s)) ->
+      Log.mark_live t.log addr Tag.Audit;
+      t.seals <- (addr, s) :: t.seals;
+      t.last_seal <- s.Chain.s_head)
+    (sorted seals);
   (* Rebuild the running head by replaying the chained blocks in index
      order. Anomalies (gaps, mismatched priors — verification's job to
      report) resync on each block's self-declared prior so the drive
-     keeps a usable head for new records. *)
-  let chained_blocks = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !record_blocks in
-  (match chained_blocks with
-   | [] -> ()
-   | (start0, prior0, _) :: _ ->
-     let idx = ref start0 and hash = ref prior0 in
-     List.iter
-       (fun (start, prior, rs) ->
-         if start <> !idx then begin
-           idx := start;
-           hash := prior
-         end;
-         List.iter
-           (fun r ->
-             hash := Chain.extend !hash (canonical r);
-             incr idx)
-           rs)
-       chained_blocks;
-     t.chained <- !idx;
-     t.chain_head <- !hash);
+     keeps a usable head for new records. With no block left the head
+     resumes from the newest seal. *)
+  let idx = ref (-1) and hash = ref t.last_seal.Chain.hash in
+  List.iter
+    (fun (start, (addr, (rs, prior))) ->
+      Log.mark_live t.log addr Tag.Audit;
+      t.nrecords <- t.nrecords + List.length rs;
+      t.blocks <- (addr, List.fold_left (fun acc r -> max acc r.at) 0L rs) :: t.blocks;
+      if start <> !idx then begin
+        idx := start;
+        hash := prior
+      end;
+      List.iter
+        (fun r ->
+          hash := Chain.extend !hash (canonical r);
+          incr idx)
+        rs)
+    (sorted blocks);
+  t.chain_head <- !hash;
   (* A sealed count ahead of the recovered blocks (sealed-region
      truncation: verification will flag it) must not make the next seal
      claim fewer records than the last. *)
-  if t.chained < t.last_seal.Chain.records then t.chained <- t.last_seal.Chain.records;
+  t.chained <- max !idx t.last_seal.Chain.records;
   (* Same monotonicity guard as Obj_store.recover: recovered audit
      records may postdate the barrier clock a file-backed restart
      resumed from. *)
@@ -417,4 +387,6 @@ let recover t =
   in
   let clock = Log.clock t.log in
   if Int64.compare tmax (Simclock.now clock) >= 0 then
-    Simclock.set clock (Int64.add tmax 1L)
+    Simclock.set clock (Int64.add tmax 1L);
+  (* What [expire] killed before the crash is dead again. *)
+  ignore (expire t ~cutoff)

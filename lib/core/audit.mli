@@ -61,9 +61,12 @@ val expire : t -> cutoff:int64 -> int
 val on_move : t -> old_addr:int -> new_addr:int -> unit
 (** Cleaner relocation callback. *)
 
-val recover : t -> unit
+val recover : t -> cutoff:int64 -> unit
 (** After a crash ({!S4_seglog.Log.reattach} + store recovery), re-find
-    audit blocks from segment summaries and re-mark them live. *)
+    audit blocks from segment summaries and re-mark them live. Of
+    several copies of one block (the cleaner's stale originals) only
+    the one in the newest segment counts, and blocks and seals that
+    {!expire} would drop at [cutoff] stay dead. *)
 
 val record_wire_bytes : record -> int
 (** Encoded size of one record (compact encoding: op-code byte,

@@ -192,7 +192,7 @@ let attach ?(config = default_config) disk =
     | None -> invalid_arg "Drive.attach: no valid superblock"
   in
   let t = build { config with window } log store ~ptable_oid in
-  Audit.recover t.audit;
+  Audit.recover t.audit ~cutoff:(detection_cutoff t);
   (* Cross-check the device-held anchor: the head recorded in the disk
      header at the last successful sync must still lie on the recovered
      chain. A recovered chain *newer* than the anchor is ordinary crash

@@ -27,12 +27,34 @@ let fresh_stats () =
     write_latency = Histogram.create ();
   }
 
-(* Where sector contents live: the sparse in-memory table (simulation)
-   or a real host file (durability). Timing, stats, fault injection
-   and the whole stack above are identical over both. *)
+(* Where sector contents live: 4 KB pages in 1 MB directories, both
+   allocated on the first write that carries data and read as zeros
+   while absent ([||], [Bytes.empty]), or a real host file. Timing,
+   stats, fault injection and the stack above are identical over both. *)
 type backing =
-  | Mem of (int, Bytes.t) Hashtbl.t  (* sector lba -> sector bytes *)
+  | Mem of Bytes.t array array  (* directory -> page *)
   | File of File_disk.t
+
+let page_bytes = 4096
+let dir_pages = 256
+
+let page dirs p =
+  let dir = dirs.(p / dir_pages) in
+  if Array.length dir = 0 then Bytes.empty else dir.(p mod dir_pages)
+
+let alloc_page dirs p =
+  let d = p / dir_pages and i = p mod dir_pages in
+  if Array.length dirs.(d) = 0 then dirs.(d) <- Array.make dir_pages Bytes.empty;
+  if Bytes.length dirs.(d).(i) = 0 then dirs.(d).(i) <- Bytes.make page_bytes '\000';
+  dirs.(d).(i)
+
+(* [f page page_off buf_off len] for each page piece of the byte range
+   [off, off + len), in order. *)
+let iter_pages ~off ~len f =
+  for p = off / page_bytes to (off + len - 1) / page_bytes do
+    let lo = Int.max off (p * page_bytes) and hi = Int.min (off + len) ((p + 1) * page_bytes) in
+    f p (lo - (p * page_bytes)) (lo - off) (hi - lo)
+  done
 
 type t = {
   geometry : Geometry.t;
@@ -53,7 +75,8 @@ let create ?(geometry = Geometry.cheetah_9gb) clock =
   {
     geometry;
     clock;
-    backing = Mem (Hashtbl.create 4096);
+    backing =
+      Mem (Array.make (1 + ((Geometry.capacity_bytes geometry - 1) / (page_bytes * dir_pages))) [||]);
     head = 0;
     stats = fresh_stats ();
     phantom = false;
@@ -182,16 +205,13 @@ let store_data t ~lba ~sectors data =
      invalid_arg "Sim_disk.write: data length mismatch"
    | _ -> ());
   match t.backing with
-  | Mem contents ->
-    (match data with
-     | None ->
-       for i = lba to lba + sectors - 1 do
-         Hashtbl.remove contents i
-       done
-     | Some b ->
-       for i = 0 to sectors - 1 do
-         Hashtbl.replace contents (lba + i) (Bytes.sub b (i * ss) ss)
-       done)
+  | Mem dirs ->
+    iter_pages ~off:(lba * ss) ~len:(sectors * ss) (fun p page_off buf_off n ->
+        match data with
+        | Some b -> Bytes.blit b buf_off (alloc_page dirs p) page_off n
+        | None ->
+          let pg = page dirs p in
+          if Bytes.length pg > 0 then Bytes.fill pg page_off n '\000')
   | File f ->
     (match data with
      | None -> File_disk.erase f ~lba ~sectors
@@ -237,14 +257,13 @@ let write t ?tcq ?data ~lba ~sectors () =
 let peek t ~lba ~sectors =
   check_range t ~lba ~sectors;
   match t.backing with
-  | Mem contents ->
+  | Mem dirs ->
     let ss = t.geometry.Geometry.sector_size in
-    let out = Bytes.make (sectors * ss) '\000' in
-    for i = 0 to sectors - 1 do
-      (match Hashtbl.find_opt contents (lba + i) with
-       | Some sector -> Bytes.blit sector 0 out (i * ss) ss
-       | None -> ())
-    done;
+    let out = Bytes.create (sectors * ss) in
+    iter_pages ~off:(lba * ss) ~len:(sectors * ss) (fun p page_off buf_off n ->
+        let pg = page dirs p in
+        if Bytes.length pg = 0 then Bytes.fill out buf_off n '\000'
+        else Bytes.blit pg page_off out buf_off n);
     out
   | File f -> File_disk.read f ~lba ~sectors
 

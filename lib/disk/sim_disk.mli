@@ -5,11 +5,15 @@
     that continue exactly where the previous one ended are recognised
     as sequential and pay transfer cost only.
 
-    Sector *contents* live either in memory, stored sparsely and only
-    when the caller provides them (large timing-only experiments write
-    without data and read back zeroed sectors), or in a
-    {!File_disk.t}, which is the only way a drive persists across
-    processes. *)
+    Sector *contents* live either in memory or in a {!File_disk.t},
+    which is the only way a drive persists across processes. Memory
+    holds the disk image as 4 KB pages, indexed by byte offset through
+    1 MB directories of 256 pages. A directory and a page are
+    allocated, zeroed, on the first write that carries data; a write is
+    one blit per page it touches, and a read one blit per page into the
+    result. A write without data zeroes the pages that already exist
+    and allocates none, so timing-only experiments on large disks stay
+    sparse and read back zeroed sectors. *)
 
 type t
 

@@ -1,5 +1,4 @@
 module Bcodec = S4_util.Bcodec
-module Crc32 = S4_util.Crc32
 
 type entry = { oid : int64; seq : int; time : int64; kind : int; payload : Bytes.t }
 
@@ -29,34 +28,18 @@ let encode ~block_size ~prev entries =
     Bcodec.w_bytes w e.payload
   in
   List.iter emit entries;
-  let body = Bcodec.contents w in
-  if Bcodec.length w + 4 > block_size then invalid_arg "Jblock.encode: entries do not fit";
-  let out = Bytes.make block_size '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  Bcodec.set_u32 out (block_size - 4) (Crc32.sub out ~pos:0 ~len:(block_size - 4));
-  out
+  Bcodec.block w ~block_size
 
 let decode b =
-  let n = Bytes.length b in
-  if n < header_size then None
-  else if Bcodec.get_u16 b 0 <> magic then None
-  else begin
-    if Bcodec.get_u32 b (n - 4) <> Crc32.sub b ~pos:0 ~len:(n - 4) then None
-    else begin
-      try
-        let r = Bcodec.reader ~pos:2 b in
-        let prev = Int64.to_int (Bcodec.r_i64 r) in
-        let count = Bcodec.r_int r in
-        let read_entry () =
-          let oid = Bcodec.r_i64 r in
-          let seq = Bcodec.r_int r in
-          let time = Bcodec.r_i64 r in
-          let kind = Bcodec.r_u8 r in
-          let payload = Bcodec.r_bytes r in
-          { oid; seq; time; kind; payload }
-        in
-        let entries = List.init count (fun _ -> read_entry ()) in
-        Some (prev, entries)
-      with Bcodec.Decode_error _ -> None
-    end
-  end
+  Bcodec.read_block b ~magic (fun r ->
+      let prev = Int64.to_int (Bcodec.r_i64 r) in
+      let count = Bcodec.r_int r in
+      let read_entry () =
+        let oid = Bcodec.r_i64 r in
+        let seq = Bcodec.r_int r in
+        let time = Bcodec.r_i64 r in
+        let kind = Bcodec.r_u8 r in
+        let payload = Bcodec.r_bytes r in
+        { oid; seq; time; kind; payload }
+      in
+      (prev, List.init count (fun _ -> read_entry ())))

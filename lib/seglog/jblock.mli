@@ -20,9 +20,6 @@ type entry = {
 val entry_size : entry -> int
 (** Encoded size of one entry, bytes. *)
 
-val header_size : int
-(** Fixed per-block overhead (magic, prev pointer, count, CRC). *)
-
 val encode : block_size:int -> prev:int -> entry list -> Bytes.t
 (** Block-sized buffer (zero padded). Raises [Invalid_argument] if the
     entries do not fit. *)

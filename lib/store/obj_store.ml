@@ -286,31 +286,16 @@ let encode_ckchunk t ~oid ~seq ~idx ~nchunks payload =
   Bcodec.w_int w idx;
   Bcodec.w_int w nchunks;
   Bcodec.w_bytes w payload;
-  let body = Bcodec.contents w in
-  if Bytes.length body + 4 > block_size then invalid_arg "ckchunk too big";
-  let out = Bytes.make block_size '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  Bcodec.set_u32 out (block_size - 4) (S4_util.Crc32.sub out ~pos:0 ~len:(block_size - 4));
-  out
+  Bcodec.block w ~block_size
 
 let decode_ckchunk b =
-  let n = Bytes.length b in
-  if n < 20 then None
-  else if Bcodec.get_u16 b 0 <> ck_magic then None
-  else begin
-    if Bcodec.get_u32 b (n - 4) <> S4_util.Crc32.sub b ~pos:0 ~len:(n - 4) then None
-    else begin
-      try
-        let r = Bcodec.reader ~pos:2 b in
-        let oid = Bcodec.r_i64 r in
-        let seq = Bcodec.r_int r in
-        let idx = Bcodec.r_int r in
-        let nchunks = Bcodec.r_int r in
-        let payload = Bcodec.r_bytes r in
-        Some (oid, seq, idx, nchunks, payload)
-      with Bcodec.Decode_error _ -> None
-    end
-  end
+  Bcodec.read_block b ~magic:ck_magic (fun r ->
+      let oid = Bcodec.r_i64 r in
+      let seq = Bcodec.r_int r in
+      let idx = Bcodec.r_int r in
+      let nchunks = Bcodec.r_int r in
+      let payload = Bcodec.r_bytes r in
+      (oid, seq, idx, nchunks, payload))
 
 (* Pack block: magic, count, then (oid, seq, image) triples; CRC. *)
 let encode_cpack t triples =
@@ -324,32 +309,16 @@ let encode_cpack t triples =
       Bcodec.w_int w seq;
       Bcodec.w_bytes w image)
     triples;
-  let body = Bcodec.contents w in
-  if Bytes.length body + 4 > block_size then invalid_arg "cpack too big";
-  let out = Bytes.make block_size '\000' in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  Bcodec.set_u32 out (block_size - 4) (S4_util.Crc32.sub out ~pos:0 ~len:(block_size - 4));
-  out
+  Bcodec.block w ~block_size
 
 let decode_cpack b =
-  let n = Bytes.length b in
-  if n < 10 then None
-  else if Bcodec.get_u16 b 0 <> pack_magic then None
-  else begin
-    if Bcodec.get_u32 b (n - 4) <> S4_util.Crc32.sub b ~pos:0 ~len:(n - 4) then None
-    else begin
-      try
-        let r = Bcodec.reader ~pos:2 b in
-        let count = Bcodec.r_int r in
-        Some
-          (List.init count (fun _ ->
-               let oid = Bcodec.r_i64 r in
-               let seq = Bcodec.r_int r in
-               let image = Bcodec.r_bytes r in
-               (oid, seq, image)))
-      with Bcodec.Decode_error _ -> None
-    end
-  end
+  Bcodec.read_block b ~magic:pack_magic (fun r ->
+      let count = Bcodec.r_int r in
+      List.init count (fun _ ->
+          let oid = Bcodec.r_i64 r in
+          let seq = Bcodec.r_int r in
+          let image = Bcodec.r_bytes r in
+          (oid, seq, image)))
 
 let is_packed t a = Hashtbl.mem t.cpack_refs a
 

@@ -53,6 +53,15 @@ let w_string w s =
 let length = Buffer.length
 let contents w = Buffer.to_bytes w
 
+let block w ~block_size =
+  let n = Buffer.length w in
+  if n + 4 > block_size then invalid_arg "Bcodec.block: body does not fit";
+  let out = Bytes.make block_size '\000' in
+  Buffer.blit w 0 out 0 n;
+  let crc = Crc32.update Crc32.init out ~pos:0 ~len:n in
+  set_u32 out (block_size - 4) (Crc32.finish (Crc32.zeros crc (block_size - 4 - n)));
+  out
+
 type reader = { buf : Bytes.t; mutable pos : int }
 
 let reader ?(pos = 0) buf = { buf; pos }
@@ -105,4 +114,8 @@ let r_bytes r =
 
 let r_string r = Bytes.unsafe_to_string (r_bytes r)
 let remaining r = Bytes.length r.buf - r.pos
-let position r = r.pos
+
+let read_block b ~magic f =
+  let n = Bytes.length b in
+  if n < 6 || get_u16 b 0 <> magic || get_u32 b (n - 4) <> Crc32.sub b ~pos:0 ~len:(n - 4) then None
+  else try Some (f (reader ~pos:2 b)) with Decode_error _ -> None

@@ -40,6 +40,16 @@ val w_raw : writer -> Bytes.t -> unit
 val length : writer -> int
 val contents : writer -> Bytes.t
 
+val block : writer -> block_size:int -> Bytes.t
+(** [block w ~block_size] is the self-checking block layout shared by
+    every on-disk metadata block: the writer's body, zero padding, and
+    the CRC-32 of the first [block_size - 4] bytes in the last 4. The
+    CRC reads only the body and extends over the zero tail with
+    {!Crc32.zeros}, so a mostly empty block costs about its body, not
+    its size. Decoders still check the CRC over the whole block, which
+    catches a flipped bit in the tail. Raises [Invalid_argument] if the
+    body and trailer do not fit in [block_size]. *)
+
 (** {1 Reader} *)
 
 type reader
@@ -54,4 +64,9 @@ val r_bytes : reader -> Bytes.t
 val r_string : reader -> string
 val r_raw : reader -> int -> Bytes.t
 val remaining : reader -> int
-val position : reader -> int
+
+val read_block : Bytes.t -> magic:int -> (reader -> 'a) -> 'a option
+(** [read_block b ~magic f] checks a {!block} whose body starts with
+    the u16 [magic]: the magic, then the CRC over all of [b] but the
+    trailer, zero tail included. It runs [f] on a reader just past the
+    magic. [None] if a check fails or [f] raises {!Decode_error}. *)

@@ -52,6 +52,32 @@ let update acc b ~pos ~len =
 
 let finish acc = acc lxor 0xFFFFFFFF
 
+(* Extending the register over n zero bytes multiplies it by x^(8n)
+   mod P (zlib's crc32_combine): [multmodp] multiplies in reflected bit
+   order and [x2n.(k)] = x^(2^k) mod P, which repeats with period 32
+   since the order of x divides 2^32 - 1. *)
+let multmodp a b =
+  let p = ref 0 and b = ref b in
+  for i = 31 downto 0 do
+    if (a lsr i) land 1 <> 0 then p := !p lxor !b;
+    b := if !b land 1 <> 0 then (!b lsr 1) lxor 0xEDB88320 else !b lsr 1
+  done;
+  !p
+
+let x2n =
+  let t = Array.make 32 (1 lsl 30) in
+  for k = 1 to 31 do
+    t.(k) <- multmodp t.(k - 1) t.(k - 1)
+  done;
+  t
+
+let zeros acc n =
+  if n < 0 then invalid_arg "Crc32.zeros";
+  let rec pow p n k =
+    if n = 0 then p else pow (if n land 1 = 0 then p else multmodp x2n.(k land 31) p) (n lsr 1) (k + 1)
+  in
+  multmodp (pow (1 lsl 31) n 3) acc
+
 let sub b ~pos ~len = finish (update init b ~pos ~len)
 let bytes b = sub b ~pos:0 ~len:(Bytes.length b)
 let string s = bytes (Bytes.unsafe_of_string s)

@@ -18,6 +18,13 @@ val update : t -> Bytes.t -> pos:int -> len:int -> t
 (** [update acc b ~pos ~len] folds [len] bytes of [b] starting at [pos]
     into the accumulator. Raises [Invalid_argument] on bad ranges. *)
 
+val zeros : t -> int -> t
+(** [zeros acc n] is [acc] extended over [n] zero bytes, equal to
+    [update acc (Bytes.make n '\000') ~pos:0 ~len:n] but in O(log n)
+    time without touching memory (zlib's [crc32_combine] method:
+    multiplication by x^(8n) modulo the polynomial). Raises
+    [Invalid_argument] if [n < 0]. *)
+
 val finish : t -> t
 (** Final inversion. *)
 

@@ -3,7 +3,9 @@
 module Geometry = S4_disk.Geometry
 module Sim_disk = S4_disk.Sim_disk
 module Net = S4_disk.Net
+module Fault = S4_disk.Fault
 module Simclock = S4_util.Simclock
+module Rng = S4_util.Rng
 
 let check = Alcotest.check
 
@@ -163,6 +165,133 @@ let test_partial_overwrite () =
     (Bytes.cat (Bytes.make 512 'a') (Bytes.make 512 'b'))
     b
 
+(* --- Sim_disk memory backing against a per-sector model -------------- *)
+
+(* The backing the paged one replaced: one 512-byte copy per written
+   sector in a table, removed by a write without data. *)
+module Ref_sectors = struct
+  let ss = 512
+  let create () : (int, Bytes.t) Hashtbl.t = Hashtbl.create 64
+
+  let store t ~lba ~sectors = function
+    | None ->
+      for i = lba to lba + sectors - 1 do
+        Hashtbl.remove t i
+      done
+    | Some b ->
+      for i = 0 to sectors - 1 do
+        Hashtbl.replace t (lba + i) (Bytes.sub b (i * ss) ss)
+      done
+
+  let peek t ~lba ~sectors =
+    let out = Bytes.make (sectors * ss) '\000' in
+    for i = 0 to sectors - 1 do
+      match Hashtbl.find_opt t (lba + i) with
+      | Some sector -> Bytes.blit sector 0 out (i * ss) ss
+      | None -> ()
+    done;
+    out
+end
+
+type disk_op =
+  | Write of int * int * int  (* lba, sectors, fill seed *)
+  | Erase of int * int  (* data-less write *)
+  | Poke of int * int * int
+  | Torn of int * int * int  (* write that persists a random prefix *)
+  | Peek of int * int
+
+(* A 4 MB disk: four 1 MB page directories of 256 4 KB pages (8
+   sectors each). Ranges start anywhere, near a page boundary or near a
+   directory boundary, and run up to 48 pages. *)
+let model_geom = { small_geom with Geometry.sectors = 8192 }
+
+let gen_disk_op =
+  QCheck.Gen.(
+    let near unit count = map2 (fun i d -> max 0 ((i * unit) + d - 4)) (int_bound count) (int_bound 8) in
+    let* lba = oneof [ int_bound 8000; near 8 1000; near 2048 3 ] in
+    let* sectors = frequency [ (3, 1 -- 16); (1, 1 -- 384) ] in
+    let sectors = min sectors (8192 - lba) in
+    let* seed = int_bound 255 in
+    frequency
+      [
+        (4, return (Write (lba, sectors, seed)));
+        (2, return (Erase (lba, sectors)));
+        (1, return (Poke (lba, sectors, seed)));
+        (1, return (Torn (lba, sectors, seed)));
+        (3, return (Peek (lba, sectors)));
+      ])
+
+let print_disk_op = function
+  | Write (l, n, s) -> Printf.sprintf "Write(%d,%d,%d)" l n s
+  | Erase (l, n) -> Printf.sprintf "Erase(%d,%d)" l n
+  | Poke (l, n, s) -> Printf.sprintf "Poke(%d,%d,%d)" l n s
+  | Torn (l, n, s) -> Printf.sprintf "Torn(%d,%d,%d)" l n s
+  | Peek (l, n) -> Printf.sprintf "Peek(%d,%d)" l n
+
+let fill ~sectors seed = Bytes.init (sectors * 512) (fun i -> Char.chr ((seed + (i * 7) + (i / 512)) land 0xFF))
+
+let prop_paged_matches_sector_model =
+  QCheck.Test.make ~name:"paged memory backing = per-sector model" ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_disk_op ops))
+       QCheck.Gen.(list_size (1 -- 40) gen_disk_op))
+    (fun ops ->
+      let disk = Sim_disk.create ~geometry:model_geom (Simclock.create ()) in
+      let model = Ref_sectors.create () in
+      (* Torn writes: the disk's policy and a twin with the same seed
+         see the same request stream, so the twin tells the model how
+         many sectors the disk kept. *)
+      let torn_config = { Fault.quiet with Fault.torn_write_rate = 1.0 } in
+      let policy = Fault.create ~config:torn_config (Rng.create ~seed:7) in
+      let twin = Fault.create ~config:torn_config (Rng.create ~seed:7) in
+      let agree ~lba ~sectors = Sim_disk.peek disk ~lba ~sectors = Ref_sectors.peek model ~lba ~sectors in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Write (lba, sectors, seed) ->
+             let data = fill ~sectors seed in
+             Sim_disk.write disk ~data ~lba ~sectors ();
+             Ref_sectors.store model ~lba ~sectors (Some data)
+           | Erase (lba, sectors) ->
+             Sim_disk.write disk ~lba ~sectors ();
+             Ref_sectors.store model ~lba ~sectors None
+           | Poke (lba, sectors, seed) ->
+             let data = fill ~sectors seed in
+             Sim_disk.poke disk ~lba ~data;
+             Ref_sectors.store model ~lba ~sectors (Some data)
+           | Torn (lba, sectors, seed) ->
+             let data = fill ~sectors seed in
+             Sim_disk.set_fault disk (Some policy);
+             Sim_disk.write disk ~data ~lba ~sectors ();
+             Sim_disk.set_fault disk None;
+             (match Fault.on_write twin ~sectors with
+              | Fault.W_torn k -> Ref_sectors.store model ~lba ~sectors:k (Some (Bytes.sub data 0 (k * 512)))
+              | Fault.W_ok -> Ref_sectors.store model ~lba ~sectors (Some data)
+              | _ -> ())
+           | Peek _ -> ());
+          match op with
+          | Peek (lba, sectors) -> agree ~lba ~sectors
+          | Write (lba, sectors, _) | Erase (lba, sectors) | Poke (lba, sectors, _) | Torn (lba, sectors, _) ->
+            (* The range and 64 KB either side of it. *)
+            let lo = max 0 (lba - 128) and hi = min 8192 (lba + sectors + 128) in
+            agree ~lba:lo ~sectors:(hi - lo))
+        ops
+      && agree ~lba:0 ~sectors:8192)
+
+(* Writes without data on a 9 GB disk allocate no page: timing-only
+   experiments stay sparse. Each write spans 128 pages, so allocating
+   them would cost 512 KB a write. *)
+let test_dataless_writes_stay_sparse () =
+  let disk = Sim_disk.create (Simclock.create ()) in
+  let before = Gc.allocated_bytes () in
+  for i = 0 to 99 do
+    Sim_disk.write disk ~lba:(i * 170_000) ~sectors:1024 ()
+  done;
+  let allocated = Gc.allocated_bytes () -. before in
+  check Alcotest.bool (Printf.sprintf "%.0f bytes allocated, under one page a write" allocated) true
+    (allocated < 100.0 *. 4096.0);
+  check Alcotest.bytes "reads zeros" (Bytes.make 512 '\000') (Sim_disk.peek disk ~lba:170_000 ~sectors:1)
+
 (* --- Net ----------------------------------------------------------- *)
 
 let test_net_rpc_cost () =
@@ -217,6 +346,8 @@ let () =
           Alcotest.test_case "poke untimed" `Quick test_poke_untimed_write;
           Alcotest.test_case "length mismatch" `Quick test_write_data_length_mismatch;
           Alcotest.test_case "partial overwrite" `Quick test_partial_overwrite;
+          Alcotest.test_case "dataless writes stay sparse" `Quick test_dataless_writes_stay_sparse;
+          Qseed.qtest prop_paged_matches_sector_model;
         ] );
       ( "net",
         [

@@ -197,6 +197,27 @@ let prop_crc_split =
       let acc = List.fold_left (fun acc (pos, len) -> Crc32.update acc b ~pos ~len) Crc32.init (pieces s cuts) in
       Crc32.finish acc = Ref_crc32.sub b ~pos:0 ~len:(String.length s))
 
+(* [Crc32.zeros] against the reference run over real zero bytes: a
+   random prefix sets the register, then 0 to 64 KB of zeros. *)
+let prop_crc_zeros =
+  QCheck.Test.make ~name:"crc32 zeros = byte-at-a-time reference over [0, 64 KB]" ~count:200
+    QCheck.(pair (string_of_size Gen.(0 -- 40)) (make ~print:string_of_int Gen.(0 -- 65536)))
+    (fun (s, n) ->
+      let b = Bytes.make (String.length s + n) '\000' in
+      Bytes.blit_string s 0 b 0 (String.length s);
+      let acc = Crc32.update Crc32.init b ~pos:0 ~len:(String.length s) in
+      Crc32.finish (Crc32.zeros acc n) = Ref_crc32.sub b ~pos:0 ~len:(Bytes.length b))
+
+let test_crc_zeros_edges () =
+  List.iter
+    (fun n ->
+      let b = Bytes.make n '\000' in
+      check Alcotest.int (Printf.sprintf "%d zeros" n) (Ref_crc32.sub b ~pos:0 ~len:n)
+        (Crc32.finish (Crc32.zeros Crc32.init n)))
+    [ 0; 1; 7; 8; 9; 4092; 65535; 65536 ];
+  Alcotest.check_raises "negative" (Invalid_argument "Crc32.zeros") (fun () ->
+      ignore (Crc32.zeros Crc32.init (-1)))
+
 (* --- SHA-256 ------------------------------------------------------- *)
 
 (* FIPS 180-4 / NIST CSRC example vectors. *)
@@ -355,6 +376,42 @@ let test_bcodec_negative_varint_rejected () =
   let w = Bcodec.writer () in
   Alcotest.check_raises "negative" (Invalid_argument "Bcodec.w_int: negative") (fun () ->
       Bcodec.w_int w (-1))
+
+(* Every padded metadata block was written by hand as: body blitted
+   into a zeroed block, then the CRC of all but the 4-byte trailer. *)
+let pad_then_crc ~block_size body =
+  let out = Bytes.make block_size '\000' in
+  Bytes.blit body 0 out 0 (Bytes.length body);
+  Bcodec.set_u32 out (block_size - 4) (Ref_crc32.sub out ~pos:0 ~len:(block_size - 4));
+  out
+
+let prop_bcodec_block_matches_pad_then_crc =
+  QCheck.Test.make ~name:"bcodec block = pad-then-CRC" ~count:200
+    QCheck.(pair (oneofl [ 512; 4096 ]) (string_of_size Gen.(0 -- 508)))
+    (fun (block_size, body) ->
+      let w = Bcodec.writer () in
+      Bcodec.w_raw w (Bytes.of_string body);
+      Bcodec.block w ~block_size = pad_then_crc ~block_size (Bytes.of_string body))
+
+let test_bcodec_block_checks () =
+  let w = Bcodec.writer () in
+  Bcodec.w_u16 w 0x4242;
+  Bcodec.w_string w "body";
+  let b = Bcodec.block w ~block_size:512 in
+  let read b ~magic = Bcodec.read_block b ~magic Bcodec.r_string in
+  check Alcotest.(option string) "roundtrip" (Some "body") (read b ~magic:0x4242);
+  check Alcotest.(option string) "wrong magic" None (read b ~magic:0x4243);
+  (* A flipped bit in the zero tail is caught: decoders CRC it all. *)
+  let torn = Bytes.copy b in
+  Bytes.set torn 300 '\001';
+  check Alcotest.(option string) "tail bit flip" None (read torn ~magic:0x4242);
+  check Alcotest.(option string) "truncated body" None
+    (Bcodec.read_block b ~magic:0x4242 (fun r -> Bytes.to_string (Bcodec.r_raw r 600)));
+  check Alcotest.(option string) "short" None (read (Bytes.create 5) ~magic:0x4242);
+  let full = Bcodec.writer () in
+  Bcodec.w_raw full (Bytes.make 509 'x');
+  Alcotest.check_raises "overflow" (Invalid_argument "Bcodec.block: body does not fit") (fun () ->
+      ignore (Bcodec.block full ~block_size:512))
 
 (* A random program of scalar writes must read back verbatim and
    consume the buffer exactly. *)
@@ -638,6 +695,8 @@ let () =
           qtest prop_crc_matches_reference;
           qtest prop_crc_unaligned;
           qtest prop_crc_split;
+          Alcotest.test_case "zeros edges" `Quick test_crc_zeros_edges;
+          qtest prop_crc_zeros;
         ] );
       ( "sha256",
         [
@@ -667,6 +726,8 @@ let () =
           Alcotest.test_case "negative varint" `Quick test_bcodec_negative_varint_rejected;
           qtest prop_bcodec_roundtrip;
           qtest prop_bcodec_program_roundtrip;
+          Alcotest.test_case "block checks" `Quick test_bcodec_block_checks;
+          qtest prop_bcodec_block_matches_pad_then_crc;
         ] );
       ( "simclock",
         [
